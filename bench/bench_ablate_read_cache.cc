@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
 
-    std::string point = "c" + std::to_string(c);
+    std::string point = std::string("c").append(std::to_string(c));
     report.AddMetric("csd.read." + point + ".hit_gets_per_sec",
                      hit_gets_per_sec);
     report.AddMetric("csd.read." + point + ".miss_gets_per_sec",

@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
     }
 
     // Per-tenant latency distributions (separable by stats prefix).
-    const std::string qtag = "q" + std::to_string(queues);
+    const std::string qtag = std::string("q").append(std::to_string(queues));
     for (std::uint32_t t = 0; t < tenants; ++t) {
       const std::string prefix = "client.t" + std::to_string(t) + ".";
       const auto put_summary =

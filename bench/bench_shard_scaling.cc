@@ -441,7 +441,7 @@ int main(int argc, char** argv) {
       all_ok = false;
     }
 
-    const std::string tag = "n" + std::to_string(shards);
+    const std::string tag = std::string("n").append(std::to_string(shards));
     report.AddMetric("csd.shard." + tag + ".put_keys_per_sec",
                      point.put_per_sec);
     report.AddMetric("csd.shard." + tag + ".get_keys_per_sec",

@@ -283,7 +283,10 @@ class KeyspaceHandle {
   // secondary indexes, built in one pass without re-reading the keyspace.
   sim::Task<Status> CompactWithIndexes(
       std::vector<nvme::SecondaryIndexSpec> specs);
-  // Blocks until the device reports the keyspace COMPACTED.
+  // Blocks until no compaction or delta fold is running on the keyspace,
+  // then returns the status of the last one to finish (OK if none ran
+  // since the device powered up). A failed compaction rolls the keyspace
+  // back to WRITABLE, a failed fold to COMPACTED with its delta pending.
   sim::Task<Status> WaitCompaction();
 
   // --- secondary indexes ---

@@ -36,7 +36,7 @@ void TraceRequest::Dump(sim::Simulation* sim) {
   if (!active() || !sim->tracer().enabled()) return;
   if (sim->tracer().size() == 0) return;
   std::string path = g_trace_path;
-  if (g_dumps > 0) path += "." + std::to_string(g_dumps);
+  if (g_dumps > 0) path.append(".").append(std::to_string(g_dumps));
   ++g_dumps;
   Status s = sim->tracer().WriteFile(path);
   if (s.ok()) {
@@ -68,7 +68,9 @@ void TelemetryRequest::Dump(sim::Simulation* sim) {
   if (!active() || !sim->telemetry().enabled()) return;
   if (sim->telemetry().size() == 0) return;
   std::string path = g_telemetry_path;
-  if (g_telemetry_dumps > 0) path += "." + std::to_string(g_telemetry_dumps);
+  if (g_telemetry_dumps > 0) {
+    path.append(".").append(std::to_string(g_telemetry_dumps));
+  }
   ++g_telemetry_dumps;
   Status s = sim->telemetry().WriteFile(path);
   if (s.ok()) {
@@ -94,7 +96,9 @@ bool HealthRequest::active() { return !g_health_path.empty(); }
 void HealthRequest::Dump(device::Device* device) {
   if (!active()) return;
   std::string path = g_health_path;
-  if (g_health_dumps > 0) path += "." + std::to_string(g_health_dumps);
+  if (g_health_dumps > 0) {
+    path.append(".").append(std::to_string(g_health_dumps));
+  }
   ++g_health_dumps;
   std::ofstream out(path);
   if (!out) {

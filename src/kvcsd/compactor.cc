@@ -30,16 +30,15 @@
 // skipping the re-read at the cost of extra DRAM pressure). Fused per-spec
 // merges run concurrently in a TaskGroup.
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/bloom.h"
-#include "common/keys.h"
 #include "kvcsd/device.h"
 #include "kvcsd/klog_stream.h"
 #include "kvcsd/merge.h"
+#include "kvcsd/run_writer.h"
 #include "kvcsd/wire.h"
 #include "nvme/skey.h"
 #include "sim/fault.h"
@@ -57,37 +56,14 @@ namespace {
 // `soc_cores`) keeps the run layout independent of the core count.
 constexpr std::uint64_t kRunGenShares = 4;
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value.
-Result<std::string> ExtractSecondaryKey(const Slice& value,
-                                        const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Phase 1: parallel run generation
 // ---------------------------------------------------------------------------
 
-// Runs and TEMP clusters produced from one KLOG zone. Each worker owns its
-// output slot, so the fan-out shares no mutable state.
-struct Device::RunGenOutput {
-  std::vector<SpilledRun> runs;
-  std::vector<ClusterId> temp_clusters;
-};
-
 sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
-                                           std::uint64_t run_budget,
-                                           RunGenOutput* out) {
+                                           KlogSorter* out) {
   // One track per worker share keeps concurrent run-gen spans on separate
   // viewer rows (zone index mod the share count matches the fan-out width).
   sim::TraceSpan span(sim_,
@@ -95,52 +71,6 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
                           std::to_string(zone % kRunGenShares),
                       "run_gen");
   span.Arg("zone", static_cast<std::uint64_t>(zone));
-  std::vector<KlogEntry> current;
-  std::uint64_t current_bytes = 0;
-
-  auto spill_current = [&]() -> sim::Task<Status> {
-    if (current.empty()) co_return Status::Ok();
-    co_await cpu_.ComputeBytes(current_bytes,
-                               config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-    // (key, seq): duplicate keys stay newest-last within the run, matching
-    // KlogMergeTraits so the merge's last-writer-wins pass sees every
-    // version of a key adjacently in seq order.
-    std::sort(current.begin(), current.end(),
-              [](const KlogEntry& a, const KlogEntry& b) {
-                if (a.key != b.key) return a.key < b.key;
-                return a.seq < b.seq;
-              });
-    SpilledRun spilled;
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    auto flush_chunk = [&]() -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-      auto addr = co_await AppendToChain(&out->temp_clusters, ZoneType::kTemp,
-                                         AsBytes(chunk), sim::Activity::kCompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      spilled.segments.emplace_back(*addr,
-                                    static_cast<std::uint32_t>(chunk.size()));
-      chunk.clear();
-      co_return Status::Ok();
-    };
-    for (const KlogEntry& e : current) {
-      if (chunk.size() + e.key.size() + 20 > config_.output_batch_bytes) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-      }
-      wire::AppendKlogEntry(&chunk, e.key, e.value_addr, e.value_len, e.seq,
-                            e.tombstone);
-      ++spilled.entries;
-    }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-    ++compaction_stats_.runs_spilled;
-    out->runs.push_back(std::move(spilled));
-    current.clear();
-    current_bytes = 0;
-    co_return Status::Ok();
-  };
-
   KlogZoneStream stream(&ssd_, zone, config_.output_batch_bytes,
                         &compaction_stats_.bytes_read,
                         sim::Activity::kCompact);
@@ -151,150 +81,53 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
     if (!more.ok()) co_return more.status();
     if (!*more) break;
     for (KlogEntry& e : parsed) {
-      current_bytes += e.key.size() + 12;
-      current.push_back(std::move(e));
-      if (current_bytes >= run_budget) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await spill_current());
+      if (out->Add(std::move(e))) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await out->Spill());
       }
     }
   }
-  co_return co_await spill_current();
+  co_return co_await out->Spill();
 }
 
 // ---------------------------------------------------------------------------
-// SIDX external sort (shared by the separate and fused index builds)
+// SIDX merge into blocks (shared by the separate and fused index builds)
 // ---------------------------------------------------------------------------
-
-sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
-  if (state->current.empty()) co_return Status::Ok();
-  co_await cpu_.ComputeBytes(state->current_bytes,
-                             config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-  std::sort(state->current.begin(), state->current.end(),
-            [](const SidxTuple& a, const SidxTuple& b) {
-              if (a.skey != b.skey) return a.skey < b.skey;
-              return a.pkey < b.pkey;
-            });
-  SpilledRun spilled;
-  std::string chunk;
-  auto flush_chunk = [&]() -> sim::Task<Status> {
-    if (chunk.empty()) co_return Status::Ok();
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&state->temp_clusters,
-                                       ZoneType::kTemp, AsBytes(chunk), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += chunk.size();
-    spilled.segments.emplace_back(*addr,
-                                  static_cast<std::uint32_t>(chunk.size()));
-    chunk.clear();
-    co_return Status::Ok();
-  };
-  for (const SidxTuple& t : state->current) {
-    if (chunk.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-        config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-    }
-    wire::AppendSidxEntry(&chunk, t.skey, t.pkey, t.vaddr, t.vlen);
-    ++spilled.entries;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-  ++compaction_stats_.runs_spilled;
-  state->runs.push_back(std::move(spilled));
-  state->current.clear();
-  state->current_bytes = 0;
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Device::SidxAdd(SidxSortState* state, SidxTuple tuple) {
-  state->current_bytes += tuple.skey.size() + tuple.pkey.size() + 12;
-  state->current.push_back(std::move(tuple));
-  if (state->current_bytes >= state->run_budget) {
-    KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
-  }
-  co_return Status::Ok();
-}
 
 sim::Task<Status> Device::SidxMergeToBlocks(
-    SidxSortState* state, const nvme::SecondaryIndexSpec& spec,
+    SidxSorter* sorter, const nvme::SecondaryIndexSpec& spec,
     SecondaryIndex* out) {
-  KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
+  KVCSD_CO_RETURN_IF_ERROR(co_await sorter->Spill());
 
   compaction_stats_.max_merge_fanin = std::max<std::uint64_t>(
-      compaction_stats_.max_merge_fanin, state->runs.size());
+      compaction_stats_.max_merge_fanin, sorter->runs().size());
   RunMerger<SidxMergeTraits> merger(sim_, &ssd_);
   KVCSD_CO_RETURN_IF_ERROR(
-      co_await merger.Init(state->runs, &compaction_stats_.bytes_read));
+      co_await merger.Init(sorter->runs(), &compaction_stats_.bytes_read));
 
-  SecondaryIndex& sidx = *out;
-  sidx.spec = spec;
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&sidx.sidx_clusters, ZoneType::kSidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
-      sidx.sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
-    }
-    co_return Status::Ok();
-  };
-
+  out->spec = spec;
+  IndexBlockWriter blocks(sorter->job(), &out->sidx_clusters, ZoneType::kSidx,
+                          &out->sketch);
   std::uint64_t merged = 0;
   while (!merger.Empty()) {
     SidxTuple t;
     KVCSD_CO_RETURN_IF_ERROR(co_await merger.Pop(&t));
 
-    merged += t.skey.size() + t.pkey.size() + 12;
+    merged += SidxMergeTraits::SortBytes(t);
     if (merged >= MiB(1)) {
       co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
       merged = 0;
     }
-    if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-        config_.index_block_size) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
-    }
-    if (block_count == 0) block_pivot = t.skey;
-    wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-    ++block_count;
-    ++sidx.entries;
+    if (blocks.AddSidx(t)) KVCSD_CO_RETURN_IF_ERROR(co_await blocks.Flush());
+    ++out->entries;
   }
   if (merged > 0) {
     co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
   }
-  KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
-  KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+  KVCSD_CO_RETURN_IF_ERROR(co_await blocks.Finish());
 
-  co_await ReleaseClustersBestEffort(std::move(state->temp_clusters));
-  state->temp_clusters.clear();
-  state->runs.clear();
+  co_await ReleaseClustersBestEffort(std::move(sorter->temp_clusters()));
+  sorter->temp_clusters().clear();
+  sorter->runs().clear();
   co_return Status::Ok();
 }
 
@@ -313,9 +146,10 @@ struct Device::ValueBatch {
 };
 
 struct Device::PidxPipeline {
+  const RunJob* job = nullptr;
   sim::BoundedChannel<std::unique_ptr<ValueBatch>>* channel = nullptr;
   const std::vector<nvme::SecondaryIndexSpec>* specs = nullptr;
-  std::vector<SidxSortState>* sidx_states = nullptr;
+  std::vector<SidxSorter>* sidx_sorters = nullptr;
   // When non-null, every merged key is also added to the keyspace's bloom
   // filter here — the one moment all primary keys stream through DRAM in
   // order, so the filter build costs no extra I/O (DESIGN.md §10).
@@ -328,46 +162,8 @@ struct Device::PidxPipeline {
 };
 
 sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&pipe->pidx_clusters, ZoneType::kPidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
-      pipe->sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
-    }
-    co_return Status::Ok();
-  };
+  IndexBlockWriter pidx(*pipe->job, &pipe->pidx_clusters, ZoneType::kPidx,
+                        &pipe->sketch);
 
   auto process = [&](ValueBatch& b) -> sim::Task<Status> {
     // Fused secondary-key extraction touches every value byte while the
@@ -379,13 +175,9 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
     std::uint64_t bloom_key_bytes = 0;
     for (std::size_t i = 0; i < b.entries.size(); ++i) {
       const KlogEntry& e = b.entries[i];
-      if (block.size() + wire::PidxEntrySize(e.key) >
-          config_.index_block_size) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
+      if (pidx.AddPidx(e.key, b.new_addrs[i], e.value_len)) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
       }
-      if (block_count == 0) block_pivot = e.key;
-      wire::AppendPidxEntry(&block, e.key, b.new_addrs[i], e.value_len);
-      ++block_count;
       if (pipe->bloom != nullptr) {
         pipe->bloom->AddKey(Slice(e.key));
         bloom_key_bytes += e.key.size();
@@ -393,12 +185,14 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 
       for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
            ++spec_index) {
-        auto skey = ExtractSecondaryKey(Slice(b.values[i]),
-                                        (*pipe->specs)[spec_index]);
+        auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
+                                              (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
-        SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
-        KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(
-            &(*pipe->sidx_states)[spec_index], std::move(tuple)));
+        SidxSorter& sorter = (*pipe->sidx_sorters)[spec_index];
+        if (sorter.Add(SidxTuple{std::move(*skey), e.key, b.new_addrs[i],
+                                 e.value_len})) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await sorter.Spill());
+        }
       }
     }
     pipe->entries_total += b.entries.size();
@@ -421,8 +215,7 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
       pipe->failed = true;
     }
   }
-  if (result.ok()) result = co_await close_block();
-  if (result.ok()) result = co_await flush_blocks();
+  if (result.ok()) result = co_await pidx.Finish();
   if (!result.ok()) pipe->failed = true;
   co_return result;
 }
@@ -431,19 +224,19 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 // Compaction (optionally fused with secondary-index construction)
 // ---------------------------------------------------------------------------
 
-// Failure-handling shell around RunCompaction. Whatever the body
-// allocated sits in `scratch`; on any failure the clusters are released
-// best-effort (after a power cut the resets fail silently and recovery
-// reclaims the orphans from the metadata snapshot instead) and the
-// keyspace rolls back to WRITABLE so its logs stay usable. The
-// completion event fires on every exit path — a waiter must never hang
-// on a failed compaction.
+// The completion event fires on every exit path — a waiter must never
+// hang on a failed compaction.
 sim::Task<Status> Device::CompactKeyspace(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "compact");
+  const bool fold = ks->state == KeyspaceState::kRecompacting;
+  sim::TraceSpan span(sim_, trk_compaction_, fold ? "recompact" : "compact");
   span.Arg("keyspace", ks->name);
-  span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+  if (fold) {
+    span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
+  } else {
+    span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+  }
   if (trigger_cmd_id != 0) {
     span.Arg("trigger_cmd_id", trigger_cmd_id);
     if (sim_->tracer().enabled()) {
@@ -455,45 +248,73 @@ sim::Task<Status> Device::CompactKeyspace(
   }
   ++compactions_running_;
   std::vector<ClusterId> scratch;
-  Status result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  Status result;
+  if (fold) {
+    result = co_await RunRecompaction(ks, &scratch);
+  } else {
+    result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  }
   --compactions_running_;
   if (!result.ok()) {
+    stats()
+        .counter(fold ? "device.recompact.failed" : "device.compact.failed")
+        .Increment();
     co_await ReleaseClustersBestEffort(std::move(scratch));
     if (ks->state == KeyspaceState::kCompacting) {
       ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                             : KeyspaceState::kWritable;
+    } else if (ks->state == KeyspaceState::kRecompacting) {
+      ks->state = KeyspaceState::kCompacted;  // the delta stays pending
     }
     if (faults_ == nullptr || !faults_->crashed()) {
       // Make the rollback durable so a later crash cannot resurrect the
-      // COMPACTING state. Best-effort: the snapshot still on flash also
-      // rolls back correctly at recovery.
+      // (RE)COMPACTING state. Best-effort: the snapshot still on flash
+      // also rolls back correctly at recovery.
       (void)co_await keyspace_manager_.Persist();
     }
   }
+  ks->last_compaction = result;
   CompactionDone(ks->id)->Set();
   co_await MaybeFinishPendingDelete(ks);
   co_return result;
 }
 
+sim::Task<Status> Device::CommitRun(Keyspace* ks, Keyspace* next,
+                                    std::vector<ClusterId>* scratch) {
+  const KeyspaceState job = ks->state;
+  const bool fold = job == KeyspaceState::kRecompacting;
+  if (CrashPoint(fold ? "recompact.before_commit" : "compact.before_commit")) {
+    co_return Status::IoError(
+        fold ? "simulated power loss before recompact commit"
+             : "simulated power loss before commit");
+  }
+  auto swap = [ks, next] {
+    auto committed = ks->RunFields();
+    auto staged = next->RunFields();
+    committed.swap(staged);
+  };
+  swap();
+  ks->state = KeyspaceState::kCompacted;
+  Status commit = co_await keyspace_manager_.Persist();
+  if (!commit.ok()) {
+    swap();
+    ks->state = job;  // the shell rolls back
+    co_return commit;
+  }
+  ++compactions_done_;
+  scratch->clear();
+  // Cached index blocks of this keyspace may predate the new layout (a
+  // fold rebuilds blocks; a compaction may follow a rollback); drop them
+  // so queries can never read a stale block through the cache.
+  index_cache_.EraseKeyspace(ks->id);
+  co_return Status::Ok();
+}
+
 sim::Task<Status> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
-  // Flush whatever is still buffered in DRAM and drain in-flight flush
-  // I/O: compaction must observe complete KLOG/VLOG logs.
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  // Compaction must observe complete KLOG/VLOG logs.
+  KVCSD_CO_RETURN_IF_ERROR(co_await FlushAndDrain(ks));
 
   // Make the COMPACTING state and the final log extents durable before
   // any output is written: recovery must know to roll this keyspace back
@@ -506,8 +327,10 @@ sim::Task<Status> Device::RunCompaction(
   const std::uint64_t run_budget =
       config_.EffectiveSortRunBytes() / budget_shares;
 
-  std::vector<SidxSortState> fused_states(fused_specs.size());
-  for (auto& state : fused_states) state.run_budget = run_budget;
+  // Every cluster the job writes joins `scratch` as it is allocated.
+  const RunJob job{this, sim::Activity::kCompact, scratch};
+  std::vector<SidxSorter> fused_sorters(fused_specs.size(),
+                                        SidxSorter(job, run_budget));
 
   // ---- Phase 1: parallel run generation over the KLOG zones ----
   const Tick phase1_start = sim_->Now();
@@ -524,13 +347,10 @@ sim::Task<Status> Device::RunCompaction(
       std::min<std::uint64_t>(std::max<std::uint32_t>(config_.soc_cores, 1),
                               kRunGenShares));
 
-  std::vector<RunGenOutput> gen_outputs(klog_zones.size());
+  std::vector<KlogSorter> gen(klog_zones.size(), KlogSorter(job, gen_budget));
   auto gen_fn = [&](std::size_t i) -> sim::Task<Status> {
-    return GenerateZoneRuns(klog_zones[i], gen_budget, &gen_outputs[i]);
+    return GenerateZoneRuns(klog_zones[i], &gen[i]);
   };
-  // ParallelFor joins ALL workers before returning, so every allocated
-  // TEMP cluster is visible in gen_outputs even when a worker failed —
-  // record them in `scratch` before acting on the status.
   const Status gen_status =
       co_await sim::ParallelFor(sim_, klog_zones.size(), gen_workers, gen_fn);
 
@@ -538,26 +358,29 @@ sim::Task<Status> Device::RunCompaction(
   // (the merge tie-break) are reproducible across core counts.
   std::vector<SpilledRun> runs;
   std::vector<ClusterId> temp_clusters;
-  for (RunGenOutput& out : gen_outputs) {
-    for (SpilledRun& run : out.runs) runs.push_back(std::move(run));
-    temp_clusters.insert(temp_clusters.end(), out.temp_clusters.begin(),
-                         out.temp_clusters.end());
+  for (KlogSorter& zone_runs : gen) {
+    for (SpilledRun& run : zone_runs.runs()) runs.push_back(std::move(run));
+    temp_clusters.insert(temp_clusters.end(),
+                         zone_runs.temp_clusters().begin(),
+                         zone_runs.temp_clusters().end());
   }
-  scratch->insert(scratch->end(), temp_clusters.begin(), temp_clusters.end());
   KVCSD_CO_RETURN_IF_ERROR(gen_status);
   if (CrashPoint("compact.after_phase1")) {
     co_return Status::IoError("simulated power loss after run generation");
   }
-  compaction_stats_.phase1_ticks += sim_->Now() - phase1_start;
-  stats()
-      .histogram("device.compact.phase1_ns")
-      .Record(sim_->Now() - phase1_start);
-  if (sim_->tracer().enabled()) {
-    sim_->tracer().CompleteSpan(
-        sim_->tracer().Track(trk_compaction_), "phase1.run_gen", phase1_start,
-        sim_->Now(),
-        {{"keyspace", ks->name}, {"runs", std::to_string(runs.size())}});
-  }
+  // Closes a phase: summed ticks, latency histogram and trace span.
+  auto end_phase = [&](Tick start, Tick* ticks, const char* histogram,
+                       const char* span_name, const char* runs_arg) {
+    *ticks += sim_->Now() - start;
+    stats().histogram(histogram).Record(sim_->Now() - start);
+    if (sim_->tracer().enabled()) {
+      sim_->tracer().CompleteSpan(
+          sim_->tracer().Track(trk_compaction_), span_name, start, sim_->Now(),
+          {{"keyspace", ks->name}, {runs_arg, std::to_string(runs.size())}});
+    }
+  };
+  end_phase(phase1_start, &compaction_stats_.phase1_ticks,
+            "device.compact.phase1_ns", "phase1.run_gen", "runs");
 
   // ---- Phase 2: loser-tree merge feeding the index-build stage ----
   const Tick phase2_start = sim_->Now();
@@ -575,9 +398,10 @@ sim::Task<Status> Device::RunCompaction(
     bloom.emplace(static_cast<int>(config_.bloom_bits_per_key));
   }
   PidxPipeline pipe;
+  pipe.job = &job;
   pipe.channel = &batches;
   pipe.specs = &fused_specs;
-  pipe.sidx_states = &fused_states;
+  pipe.sidx_sorters = &fused_sorters;
   pipe.bloom = bloom.has_value() ? &*bloom : nullptr;
   sim::TaskGroup index_stage(sim_);
   index_stage.Spawn(IndexBuildStage(&pipe));
@@ -602,36 +426,14 @@ sim::Task<Status> Device::RunCompaction(
     co_await cpu_.ComputeBytes(b->value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
     b->values = std::move(*values);
-    b->new_addrs.assign(b->entries.size(), 0);
 
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::size_t chunk_first = 0;
-    auto flush_values = [&](std::size_t upto) -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-      auto addr = co_await AppendToChain(&value_clusters,
-                                         ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kCompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t i = chunk_first; i < upto; ++i) {
-        b->new_addrs[i] = *addr + offset;
-        offset += b->values[i].size();
-      }
-      chunk.clear();
-      chunk_first = upto;
-      co_return Status::Ok();
-    };
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      if (chunk.size() + b->values[i].size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(i));
-      }
-      chunk += b->values[i];
+    ChunkWriter out(job, &value_clusters, ZoneType::kSortedValues,
+                    /*record_addrs=*/true);
+    for (const std::string& value : b->values) {
+      if (out.AddValue(value)) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(b->entries.size()));
+    KVCSD_CO_RETURN_IF_ERROR(co_await out.Finish());
+    b->new_addrs = out.record_addrs();
 
     co_await batches.Push(std::move(b));
     co_return Status::Ok();
@@ -648,15 +450,20 @@ sim::Task<Status> Device::RunCompaction(
     // changes — unless it is a tombstone, which simply vanishes along
     // with every older version it shadowed.
     std::optional<KlogEntry> pending;
-    auto admit = [&](KlogEntry&& entry) -> sim::Task<Status> {
+    // Adds a live entry; true when the batch reached its budget and must
+    // be emitted. Synchronous for the same reason as RunMerger::Pop: an
+    // awaited call per entry nests a stack frame per entry when it
+    // completes without suspending.
+    auto admit = [&](KlogEntry&& entry) {
       batch->value_bytes += entry.value_len;
       batch->entries.push_back(std::move(entry));
-      if (batch->value_bytes >= batch_budget) {
-        Status emitted = co_await emit_batch(std::move(batch));
-        batch = std::make_unique<ValueBatch>();
-        KVCSD_CO_RETURN_IF_ERROR(emitted);
-      }
-      co_return Status::Ok();
+      return batch->value_bytes >= batch_budget;
+    };
+    // Hands the full batch on and starts the next one.
+    auto emit_full = [&]() -> sim::Task<Status> {
+      Status emitted = co_await emit_batch(std::move(batch));
+      batch = std::make_unique<ValueBatch>();
+      co_return emitted;
     };
     while (!merger.Empty() && !pipe.failed) {
       KlogEntry entry;
@@ -665,25 +472,23 @@ sim::Task<Status> Device::RunCompaction(
         pipeline_status = s;
         break;
       }
-      merged_bytes += entry.key.size() + 12;
+      merged_bytes += KlogMergeTraits::SortBytes(entry);
       if (merged_bytes >= MiB(1)) {
         co_await cpu_.ComputeBytes(merged_bytes,
                                    config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
         merged_bytes = 0;
       }
       if (pending.has_value() && pending->key != entry.key &&
-          !pending->tombstone) {
-        Status admitted = co_await admit(std::move(*pending));
-        if (!admitted.ok()) {
-          pipeline_status = admitted;
-          break;
-        }
+          !pending->tombstone && admit(std::move(*pending))) {
+        pipeline_status = co_await emit_full();
+        if (!pipeline_status.ok()) break;
       }
       pending = std::move(entry);
     }
     if (pipeline_status.ok() && !pipe.failed) {
-      if (pending.has_value() && !pending->tombstone) {
-        pipeline_status = co_await admit(std::move(*pending));
+      if (pending.has_value() && !pending->tombstone &&
+          admit(std::move(*pending))) {
+        pipeline_status = co_await emit_full();
       }
       if (merged_bytes > 0) {
         co_await cpu_.ComputeBytes(merged_bytes,
@@ -695,19 +500,9 @@ sim::Task<Status> Device::RunCompaction(
     }
   }
   // Always close + join: the consumer must see end-of-stream even on the
-  // error paths, or one side would wait forever. With both stages joined,
-  // every cluster the pipeline allocated is visible — record them before
-  // acting on either status.
+  // error paths, or one side would wait forever.
   batches.Close();
   Status index_status = co_await index_stage.Wait();
-  scratch->insert(scratch->end(), value_clusters.begin(),
-                  value_clusters.end());
-  scratch->insert(scratch->end(), pipe.pidx_clusters.begin(),
-                  pipe.pidx_clusters.end());
-  for (const SidxSortState& state : fused_states) {
-    scratch->insert(scratch->end(), state.temp_clusters.begin(),
-                    state.temp_clusters.end());
-  }
   KVCSD_CO_RETURN_IF_ERROR(pipeline_status);
   KVCSD_CO_RETURN_IF_ERROR(index_status);
 
@@ -718,103 +513,40 @@ sim::Task<Status> Device::RunCompaction(
     sim::TaskGroup merges(sim_);
     for (std::size_t i = 0; i < fused_specs.size(); ++i) {
       merges.Spawn(
-          SidxMergeToBlocks(&fused_states[i], fused_specs[i], &fused_out[i]));
+          SidxMergeToBlocks(&fused_sorters[i], fused_specs[i], &fused_out[i]));
     }
-    const Status merge_status = co_await merges.Wait();
-    // The merges may have spilled more TEMP clusters and written SIDX
-    // output; duplicates with the release above are harmless (cluster ids
-    // are never reused, a double release is an ignored NotFound).
-    for (const SidxSortState& state : fused_states) {
-      scratch->insert(scratch->end(), state.temp_clusters.begin(),
-                      state.temp_clusters.end());
-    }
-    for (const SecondaryIndex& sidx : fused_out) {
-      scratch->insert(scratch->end(), sidx.sidx_clusters.begin(),
-                      sidx.sidx_clusters.end());
-    }
-    KVCSD_CO_RETURN_IF_ERROR(merge_status);
+    KVCSD_CO_RETURN_IF_ERROR(co_await merges.Wait());
     for (std::size_t i = 0; i < fused_specs.size(); ++i) {
       fused_indexes[fused_specs[i].name] = std::move(fused_out[i]);
     }
   }
-  compaction_stats_.phase2_ticks += sim_->Now() - phase2_start;
-  stats()
-      .histogram("device.compact.phase2_ns")
-      .Record(sim_->Now() - phase2_start);
-  if (sim_->tracer().enabled()) {
-    sim_->tracer().CompleteSpan(
-        sim_->tracer().Track(trk_compaction_), "phase2.merge_index",
-        phase2_start,
-        sim_->Now(),
-        {{"keyspace", ks->name}, {"fanin", std::to_string(runs.size())}});
-  }
+  end_phase(phase2_start, &compaction_stats_.phase2_ticks,
+            "device.compact.phase2_ns", "phase2.merge_index", "fanin");
 
   // ---- Commit ----
   // Phase-1 temporaries are dead weight either way; drop them first.
   co_await ReleaseClustersBestEffort(std::move(temp_clusters));
-  if (CrashPoint("compact.before_commit")) {
-    co_return Status::IoError("simulated power loss before commit");
-  }
 
-  // Install the outputs and persist — the commit point. The snapshot is
-  // written while the OLD log clusters are still allocated, so whichever
-  // snapshot recovery loads, every cluster it references exists; the
-  // stale side only ever leaks clusters (reclaimed as unreferenced),
-  // never dangles. On a persist failure, un-install symmetrically and
-  // report the compaction as failed.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
-  const std::uint64_t old_num_kvs = ks->num_kvs;
-  const std::uint64_t old_run_entries = ks->run_entries;
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
-  ks->pidx_clusters = std::move(pipe.pidx_clusters);
-  ks->sorted_value_clusters = std::move(value_clusters);
-  ks->pidx_sketch = std::move(pipe.sketch);
-  // The bloom filter rides the same snapshot as the sketch, so recovery
-  // restores both or neither; empty when bloom is disabled.
-  ks->pidx_bloom = bloom.has_value() ? bloom->Finish() : std::string();
-  // After the LWW pass, entries_total is the exact count of distinct live
-  // keys in the run (duplicates collapsed, tombstone winners dropped).
-  ks->num_kvs = pipe.entries_total;
-  ks->run_entries = pipe.entries_total;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->secondary_indexes = std::move(fused_indexes);
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
-    ks->pidx_clusters.clear();
-    ks->sorted_value_clusters.clear();
-    ks->pidx_sketch.clear();
-    ks->pidx_bloom.clear();
-    ks->secondary_indexes.clear();
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
-    ks->num_kvs = old_num_kvs;
-    ks->run_entries = old_run_entries;
-    ks->state = KeyspaceState::kCompacting;
-    co_return commit;
-  }
-  ++compactions_done_;
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Any cached index blocks for this keyspace id predate the new PIDX
-  // layout (possible only on re-compaction after a rollback); drop them so
-  // queries can never read a stale block through the cache.
-  index_cache_.EraseKeyspace(ks->id);
+  // The run replaces the logs. After the LWW pass, entries_total is the
+  // exact count of distinct live keys (duplicates collapsed, tombstone
+  // winners dropped). The bloom filter rides the same snapshot as the
+  // sketch, so recovery restores both or neither; empty when disabled.
+  Keyspace next;  // only its run fields are committed
+  next.pidx_clusters = std::move(pipe.pidx_clusters);
+  next.sorted_value_clusters = std::move(value_clusters);
+  next.pidx_sketch = std::move(pipe.sketch);
+  next.pidx_bloom = bloom.has_value() ? bloom->Finish() : std::string();
+  next.secondary_indexes = std::move(fused_indexes);
+  next.num_kvs = pipe.entries_total;
+  next.run_entries = pipe.entries_total;
+  KVCSD_CO_RETURN_IF_ERROR(co_await CommitRun(ks, &next, scratch));
 
   // Past the commit point the compaction HAS happened; a crash here loses
   // nothing (recovery reclaims the old logs as unreferenced clusters) and
   // the release below is best-effort for the same reason.
   (void)CrashPoint("compact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
+  co_await ReleaseClustersBestEffort(std::move(next.klog_clusters));
+  co_await ReleaseClustersBestEffort(std::move(next.vlog_clusters));
   co_return Status::Ok();
 }
 
@@ -835,29 +567,26 @@ sim::Task<Status> Device::BuildSecondaryIndex(
     co_return Status::AlreadyExists("secondary index exists: " + spec.name);
   }
 
-  SidxSortState state;
-  state.run_budget = config_.EffectiveSortRunBytes();
+  // Every cluster the build writes joins `scratch`, released on failure.
+  std::vector<ClusterId> scratch;
+  SidxSorter sorter(RunJob{this, sim::Activity::kCompact, &scratch},
+                    config_.EffectiveSortRunBytes());
   SecondaryIndex sidx;
-  Status result = co_await BuildSecondaryIndexInner(ks, spec, &state, &sidx);
+  Status result = co_await BuildSecondaryIndexInner(ks, spec, &sorter, &sidx);
   if (result.ok()) {
     ks->secondary_indexes[spec.name] = std::move(sidx);
     result = co_await keyspace_manager_.Persist();
     if (result.ok()) co_return result;
     // Persist failed: the index exists in DRAM only; un-install so the
-    // live table matches what a restart would recover, then fall through
-    // to release its clusters.
-    sidx = std::move(ks->secondary_indexes[spec.name]);
+    // live table matches what a restart would recover.
     ks->secondary_indexes.erase(spec.name);
   }
-  std::vector<ClusterId> doomed = std::move(state.temp_clusters);
-  doomed.insert(doomed.end(), sidx.sidx_clusters.begin(),
-                sidx.sidx_clusters.end());
-  co_await ReleaseClustersBestEffort(std::move(doomed));
+  co_await ReleaseClustersBestEffort(std::move(scratch));
   co_return result;
 }
 
 sim::Task<Status> Device::BuildSecondaryIndexInner(
-    Keyspace* ks, const nvme::SecondaryIndexSpec& spec, SidxSortState* state,
+    Keyspace* ks, const nvme::SecondaryIndexSpec& spec, SidxSorter* sorter,
     SecondaryIndex* out) {
   // Step 1 (paper): full scan extracting <skey, pkey> pairs. Walk PIDX
   // blocks via the sketch; gather values batch-wise; extract.
@@ -873,11 +602,12 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_await cpu_.ComputeBytes(batch_bytes,
                                config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
     for (std::size_t i = 0; i < values->size(); ++i) {
-      auto skey = ExtractSecondaryKey(Slice((*values)[i]), spec);
+      auto skey = nvme::ExtractSecondaryKey(Slice((*values)[i]), spec);
       if (!skey.ok()) co_return skey.status();
-      SidxTuple tuple{std::move(*skey), batch_meta[i].first,
-                      batch_meta[i].second, batch_lens[i]};
-      KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(state, std::move(tuple)));
+      if (sorter->Add(SidxTuple{std::move(*skey), batch_meta[i].first,
+                                batch_meta[i].second, batch_lens[i]})) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await sorter->Spill());
+      }
     }
     batch_refs.clear();
     batch_meta.clear();
@@ -889,16 +619,11 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
   for (const SketchEntry& block_ref : ks->pidx_sketch) {
     auto block = co_await ReadIndexBlock(ks->id, block_ref, sim::Activity::kCompact);
     if (!block.ok()) co_return block.status();
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block during sidx scan");
+    std::vector<wire::PidxEntry> entries;
+    if (!wire::DecodeIndexBlock(*block, &entries)) {
+      co_return Status::Corruption("bad PIDX block during sidx scan");
     }
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX entry during sidx scan");
-      }
+    for (const wire::PidxEntry& entry : entries) {
       batch_refs.push_back(ValueRef{entry.vaddr, entry.vlen});
       batch_meta.emplace_back(entry.key.ToString(), entry.vaddr);
       batch_lens.push_back(entry.vlen);
@@ -911,7 +636,7 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
   KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
 
   // Step 2: merge runs into SIDX blocks + sketch.
-  co_return co_await SidxMergeToBlocks(state, spec, out);
+  co_return co_await SidxMergeToBlocks(sorter, spec, out);
 }
 
 }  // namespace kvcsd::device

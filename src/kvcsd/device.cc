@@ -472,12 +472,15 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
   nvme::Completion out;
   switch (cmd.opcode) {
     case nvme::Opcode::kKvStore:
-      out.status = co_await DoPut(ks, std::move(cmd.key),
-                                  std::move(cmd.value));
+      out.status = co_await DoMutate(ks, std::move(cmd.key),
+                                     std::move(cmd.value), /*tombstone=*/false);
       break;
-    case nvme::Opcode::kKvDelete:
-      out.status = co_await DoDelete(ks, std::move(cmd.key));
+    case nvme::Opcode::kKvDelete: {
+      std::string no_value;  // named: see the prvalue pitfall in sim/task.h
+      out.status = co_await DoMutate(ks, std::move(cmd.key),
+                                     std::move(no_value), /*tombstone=*/true);
       break;
+    }
     case nvme::Opcode::kBulkStore:
       out.status = co_await DoBulkPut(ks, cmd.value);
       break;
@@ -487,21 +490,8 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
           ks->state == KeyspaceState::kCompacted) {
         // Re-compaction: fold the delta log into the existing sorted run
         // incrementally (DESIGN.md §12) instead of re-sorting everything.
-        if (ks->delta_index.empty()) {
-          out.status = Status::Ok();  // no delta: nothing to fold
-          break;
-        }
-        ks->state = KeyspaceState::kRecompacting;
-        CompactionDone(ks->id)->Reset();
-        if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-          sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_),
-                                   "compact", cmd.cmd_id, sim_->Now());
-        }
-        sim_->Spawn([](Device* device, Keyspace* target,
-                       std::uint64_t trigger) -> sim::Task<void> {
-          Status s = co_await device->RecompactKeyspace(target, trigger);
-          (void)s;  // failure rolls back to COMPACTED; surfaced via Stat
-        }(this, ks, cmd.cmd_id));
+        // Without a delta there is nothing to fold.
+        if (!ks->delta_index.empty()) StartCompaction(ks, {}, cmd.cmd_id);
         out.status = Status::Ok();
         break;
       }
@@ -512,31 +502,13 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
             std::string(KeyspaceStateName(ks->state)) + ")");
         break;
       }
-      ks->state = KeyspaceState::kCompacting;
-      CompactionDone(ks->id)->Reset();
-      // Deferred + offloaded: runs asynchronously on the device; the
-      // command completes immediately (paper §V "Compaction"). The fused
-      // variant also builds the requested secondary indexes in the same
-      // pass (§V future work). The COMPACTING state (not the inflight
-      // pin, which this command drops on completion) is what holds off a
-      // concurrent drop.
+      // The fused variant also builds the requested secondary indexes in
+      // the same pass (§V future work).
       std::vector<nvme::SecondaryIndexSpec> specs;
       if (cmd.opcode == nvme::Opcode::kCompactWithIndexes) {
         specs = std::move(cmd.sidx_list);
       }
-      if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-        // Second flow hop: from this command's exec span to the async
-        // compaction span it spawns.
-        sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
-                                 cmd.cmd_id, sim_->Now());
-      }
-      sim_->Spawn([](Device* device, Keyspace* target,
-                     std::vector<nvme::SecondaryIndexSpec> fused,
-                     std::uint64_t trigger) -> sim::Task<void> {
-        Status s =
-            co_await device->CompactKeyspace(target, std::move(fused), trigger);
-        (void)s;  // failure rolls back to WRITABLE; surfaced via Stat
-      }(this, ks, std::move(specs), cmd.cmd_id));
+      StartCompaction(ks, std::move(specs), cmd.cmd_id);
       out.status = Status::Ok();
       break;
     }
@@ -548,7 +520,7 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
              ks->state == KeyspaceState::kRecompacting) {
         co_await CompactionDone(ks->id)->Wait();
       }
-      out.status = Status::Ok();
+      out.status = ks->last_compaction;
       break;
     case nvme::Opcode::kSecondaryBuild:
       out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
@@ -676,16 +648,34 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
                        std::to_string(ks->delta_index_bytes) + " B >= " +
                        std::to_string(config_.delta_fold_watermark_bytes) +
                        " B, folding");
-  ks->state = KeyspaceState::kRecompacting;
-  CompactionDone(ks->id)->Reset();
-  sim_->Spawn([](Device* device, Keyspace* target) -> sim::Task<void> {
-    Status s = co_await device->RecompactKeyspace(target);
-    (void)s;  // failure rolls back to COMPACTED; retried at next crossing
-  }(this, ks));
+  // A failed fold rolls back to COMPACTED and retries at the next crossing.
+  StartCompaction(ks, {}, 0);
 }
 
-sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
-                                std::string value) {
+void Device::StartCompaction(Keyspace* ks,
+                             std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                             std::uint64_t trigger_cmd_id) {
+  ks->state = ks->state == KeyspaceState::kCompacted
+                  ? KeyspaceState::kRecompacting
+                  : KeyspaceState::kCompacting;
+  CompactionDone(ks->id)->Reset();
+  if (sim_->tracer().enabled() && trigger_cmd_id != 0) {
+    // Second flow hop: from the command's exec span to the background
+    // job's span.
+    sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
+                             trigger_cmd_id, sim_->Now());
+  }
+  // The (RE)COMPACTING state — not the command's inflight pin, dropped
+  // at completion — is what holds off a concurrent drop.
+  sim_->Spawn([](Device* device, Keyspace* target,
+                 std::vector<nvme::SecondaryIndexSpec> fused,
+                 std::uint64_t trigger) -> sim::Task<void> {
+    // The shell records the status; kCompactWait returns it.
+    (void)co_await device->CompactKeyspace(target, std::move(fused), trigger);
+  }(this, ks, std::move(fused_specs), trigger_cmd_id));
+}
+
+sim::Task<Status> Device::LockForMutation(Keyspace* ks) {
   if (ks->state == KeyspaceState::kEmpty) {
     ks->state = KeyspaceState::kWritable;
   }
@@ -699,82 +689,51 @@ sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
     lock->Release();
     co_return admit;
   }
-
-  co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
-  WriteBuffer& buffer = buffers_[ks->id];
-  buffer.bytes += key.size() + value.size();
-  ++puts_;
-  if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
-  if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
-  const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
-    ApplyDeltaMutation(ks, key, value, seq, /*tombstone=*/false);
-  } else {
-    ++ks->num_kvs;
-  }
-  buffer.entries.push_back(
-      WriteEntry{std::move(key), std::move(value), seq, false});
-
-  Status s = Status::Ok();
-  if (buffer.bytes >= config_.write_buffer_bytes) {
-    s = co_await FlushBuffer(ks);
-  }
-  lock->Release();
-  MaybeRequestDeltaFold(ks);
-  co_return s;
+  co_return Status::Ok();
 }
 
-// Blind point delete: appends a tombstone record to the (delta) log and
-// acknowledges whether or not the key exists — existence would cost an
-// index lookup on the write path. Visibility is immediate (the delta
-// index/write buffer shadows the run); durability follows the same
-// flush + Sync contract as PUT.
-sim::Task<Status> Device::DoDelete(Keyspace* ks, std::string key) {
-  if (ks->state == KeyspaceState::kEmpty) {
-    ks->state = KeyspaceState::kWritable;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
-    co_return admit;
-  }
-
-  co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
+void Device::BufferMutation(Keyspace* ks, std::string key, std::string value,
+                            bool tombstone) {
   WriteBuffer& buffer = buffers_[ks->id];
-  buffer.bytes += key.size();
+  buffer.bytes += key.size() + value.size();
+  if (!tombstone) {
+    ++puts_;
+    if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
+    if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
+  }
   const std::uint64_t seq = ks->next_seq++;
   if (ks->state == KeyspaceState::kCompacted) {
-    ApplyDeltaMutation(ks, key, std::string(), seq, /*tombstone=*/true);
+    ApplyDeltaMutation(ks, key, value, seq, tombstone);
   } else {
     // WRITABLE: num_kvs counts log records (replay recomputes the same);
     // compaction's last-writer-wins pass collapses it to live keys.
     ++ks->num_kvs;
   }
-  buffer.entries.push_back(WriteEntry{std::move(key), std::string(), seq,
-                                      /*tombstone=*/true});
+  buffer.entries.push_back(
+      WriteEntry{std::move(key), std::move(value), seq, tombstone});
+}
 
+// A blind point delete appends a tombstone record to the (delta) log and
+// acknowledges whether or not the key exists — existence would cost an
+// index lookup on the write path. Visibility is immediate (the delta
+// index/write buffer shadows the run); durability follows the same
+// flush + Sync contract as PUT.
+sim::Task<Status> Device::DoMutate(Keyspace* ks, std::string key,
+                                   std::string value, bool tombstone) {
+  KVCSD_CO_RETURN_IF_ERROR(co_await LockForMutation(ks));
+  co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
+  BufferMutation(ks, std::move(key), std::move(value), tombstone);
   Status s = Status::Ok();
-  if (buffer.bytes >= config_.write_buffer_bytes) {
+  if (buffers_[ks->id].bytes >= config_.write_buffer_bytes) {
     s = co_await FlushBuffer(ks);
   }
-  lock->Release();
+  WriteLock(ks->id)->Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
 }
 
 sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
-  if (ks->state == KeyspaceState::kEmpty) {
-    ks->state = KeyspaceState::kWritable;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
-    co_return admit;
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await LockForMutation(ks));
 
   // Unpack the 128 KB bulk frame. The frame transfer is cheap, but each
   // record still costs per-record handling on the weak SoC cores — this is
@@ -794,24 +753,8 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
       s = Status::InvalidArgument("malformed bulk-put frame");
       break;
     }
-    buffer.bytes += key.size() + value.size();
-    ++puts_;
+    BufferMutation(ks, key.ToString(), value.ToString(), /*tombstone=*/false);
     ++records_uncharged;
-    if (ks->min_key.empty() || key.view() < ks->min_key) {
-      ks->min_key = key.ToString();
-    }
-    if (ks->max_key.empty() || key.view() > ks->max_key) {
-      ks->max_key = key.ToString();
-    }
-    const std::uint64_t seq = ks->next_seq++;
-    if (ks->state == KeyspaceState::kCompacted) {
-      ApplyDeltaMutation(ks, key.ToString(), value.ToString(), seq,
-                         /*tombstone=*/false);
-    } else {
-      ++ks->num_kvs;
-    }
-    buffer.entries.push_back(
-        WriteEntry{key.ToString(), value.ToString(), seq, false});
     if (records_uncharged >= 512) {
       co_await cpu_.Compute(records_uncharged * config_.costs.kv_op_fixed,
                             sim::Activity::kHostWrite);
@@ -826,7 +769,7 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
     co_await cpu_.Compute(records_uncharged * config_.costs.kv_op_fixed,
                             sim::Activity::kHostWrite);
   }
-  lock->Release();
+  WriteLock(ks->id)->Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
 }
@@ -956,18 +899,7 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
   co_await Unpin(ks);
 }
 
-// Explicit "fsync" (paper §VI): persists whatever PUTs are still sitting
-// in the keyspace's DRAM write buffer, waits for the log I/O to land, and
-// commits the cluster references to the metadata zone — only then is the
-// data guaranteed to survive a power cut.
-sim::Task<Status> Device::DoSync(Keyspace* ks) {
-  if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting) {
-    // The compactor owns the logs and drained every flush before taking
-    // over; mutations have been rejected (kBusy) since, so there is
-    // nothing buffered to persist.
-    co_return Status::Ok();
-  }
+sim::Task<Status> Device::FlushAndDrain(Keyspace* ks) {
   sim::Semaphore* lock = WriteLock(ks->id);
   co_await lock->Acquire();
   Status s = co_await FlushBuffer(ks);
@@ -984,6 +916,22 @@ sim::Task<Status> Device::DoSync(Keyspace* ks) {
     it->second = Status::Ok();
     co_return err;
   }
+  co_return Status::Ok();
+}
+
+// Explicit "fsync" (paper §VI): persists whatever PUTs are still sitting
+// in the keyspace's DRAM write buffer, waits for the log I/O to land, and
+// commits the cluster references to the metadata zone — only then is the
+// data guaranteed to survive a power cut.
+sim::Task<Status> Device::DoSync(Keyspace* ks) {
+  if (ks->state == KeyspaceState::kCompacting ||
+      ks->state == KeyspaceState::kRecompacting) {
+    // The compactor owns the logs and drained every flush before taking
+    // over; mutations have been rejected (kBusy) since, so there is
+    // nothing buffered to persist.
+    co_return Status::Ok();
+  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await FlushAndDrain(ks));
   if (CrashPoint("sync.before_persist")) {
     co_return Status::IoError("simulated power loss (before sync persist)");
   }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,6 +39,13 @@
 #include "storage/zns.h"
 
 namespace kvcsd::device {
+
+struct KlogMergeTraits;
+struct SidxMergeTraits;
+template <typename Traits>
+class RunSorter;
+using KlogSorter = RunSorter<KlogMergeTraits>;
+using SidxSorter = RunSorter<SidxMergeTraits>;
 
 struct DeviceConfig {
   storage::ZnsConfig zns;
@@ -229,6 +237,11 @@ class Device {
   // and ReadIndexBlock are internal, but dedupe/coalescing behavior is
   // worth pinning directly.
   friend struct DeviceTestPeer;
+  // The run writer (run_writer.h) appends compaction output and charges
+  // its cost on the device's behalf.
+  friend class RunWriterBase;
+  template <typename Traits>
+  friend class RunSorter;
 
   // --- plumbing ---
   // Services every SQ/CQ pair of the queue set: commands are popped in
@@ -264,15 +277,25 @@ class Device {
     std::vector<WriteEntry> entries;
     std::uint64_t bytes = 0;
   };
-  sim::Task<Status> DoPut(Keyspace* ks, std::string key, std::string value);
+  // PUT, or with `tombstone` a point DELETE: a tombstone record in the
+  // (delta) log. Blind — deleting an absent key is Ok. kBusy while a
+  // (re)compaction owns the logs.
+  sim::Task<Status> DoMutate(Keyspace* ks, std::string key, std::string value,
+                             bool tombstone);
   sim::Task<Status> DoBulkPut(Keyspace* ks, const std::string& frame);
-  // Point DELETE: a tombstone record in the (delta) log. Blind — deleting
-  // an absent key is Ok. kBusy while a (re)compaction owns the logs.
-  sim::Task<Status> DoDelete(Keyspace* ks, std::string key);
   sim::Task<Status> FlushBuffer(Keyspace* ks);
-  // Shared admission for PUT/DELETE: promotes EMPTY, accepts WRITABLE and
-  // COMPACTED (delta mode), rejects (kBusy) during (re)compaction.
+  // Mutations are admitted in WRITABLE and COMPACTED (delta mode) and
+  // rejected (kBusy) during (re)compaction.
   Status CheckMutable(Keyspace* ks) const;
+  // Shared admission for PUT/DELETE/bulk PUT: promotes EMPTY, checks
+  // CheckMutable, and takes the keyspace write lock. On OK the caller
+  // holds the lock.
+  sim::Task<Status> LockForMutation(Keyspace* ks);
+  // Appends one admitted mutation to the DRAM write buffer under a fresh
+  // sequence number, maintaining num_kvs, the key bounds (PUTs only) and,
+  // in delta mode, the delta index.
+  void BufferMutation(Keyspace* ks, std::string key, std::string value,
+                      bool tombstone);
   // Records one mutation in the COMPACTED delta index (newest wins) and
   // refreshes num_kvs from run_entries + delta_live.
   void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
@@ -284,7 +307,28 @@ class Device {
   // kCompacted). Counts "device.delta.watermark_folds" per trigger.
   void MaybeRequestDeltaFold(Keyspace* ks);
 
-  // --- compaction (compactor.cc) ---
+  // --- compaction (compactor.cc, recompact.cc, run_writer.h) ---
+  // Flips the keyspace to COMPACTING (from WRITABLE or EMPTY) or to
+  // RECOMPACTING (from COMPACTED: a delta fold) and spawns that job, so
+  // the command completes at once (paper §V "Compaction").
+  // `trigger_cmd_id` is the kCompact command's causal id (0 when
+  // internal), linked to the job's span by a flow event.
+  void StartCompaction(Keyspace* ks,
+                       std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                       std::uint64_t trigger_cmd_id);
+
+  // The failure shell shared by compaction and the delta fold: runs
+  // RunCompaction (COMPACTING) or RunRecompaction (RECOMPACTING).
+  // `scratch` collects every cluster the body allocates; on failure the
+  // shell releases them (best-effort — after a power cut the resets fail
+  // and recovery reclaims the orphans instead) and rolls the keyspace
+  // back to WRITABLE (or EMPTY), or to COMPACTED with its delta intact.
+  // It records the outcome in ks->last_compaction for kCompactWait and
+  // counts failures in device.{compact,recompact}.failed.
+  sim::Task<Status> CompactKeyspace(
+      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
+      std::uint64_t trigger_cmd_id = 0);
+
   // Sorts the keyspace; when `fused_specs` is non-empty, also builds those
   // secondary indexes in the same pass (the paper's §V future-work
   // optimization) by extracting keys from values already in DRAM.
@@ -293,30 +337,31 @@ class Device {
   // generation fans out across the CpuPool, the key merge runs on a loser
   // tree over double-buffered TEMP readers, and PIDX building + fused
   // extraction of one value batch overlaps the gather/write of the next.
-  // `trigger_cmd_id` is the causal id of the kCompact command that spawned
-  // this compaction (0 when internal); the compaction span links back to
-  // it with a flow event.
-  sim::Task<Status> CompactKeyspace(
-      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
-      std::uint64_t trigger_cmd_id = 0);
-
-  // The compaction body. `scratch` collects every cluster the compaction
-  // allocates; on failure the CompactKeyspace wrapper releases them
-  // (best-effort — after a power cut the resets fail and recovery
-  // reclaims the orphans instead) and rolls the keyspace back to
-  // WRITABLE. On success the commit point clears `scratch`.
   sim::Task<Status> RunCompaction(Keyspace* ks,
                                   std::vector<nvme::SecondaryIndexSpec>
                                       fused_specs,
                                   std::vector<ClusterId>* scratch);
 
-  // Phase 1 worker: streams one KLOG zone in bounded chunks, accumulates
-  // entries up to `run_budget` bytes, and spills sorted runs to TEMP
-  // clusters owned by *out. Independent per zone, safe to fan out.
-  struct RunGenOutput;
-  sim::Task<Status> GenerateZoneRuns(std::uint32_t zone,
-                                     std::uint64_t run_budget,
-                                     RunGenOutput* out);
+  // Flushes the keyspace's DRAM write buffer under its write lock and
+  // drains in-flight log flushes, so the logs on flash are complete.
+  // Returns (and clears) a flush error latched since the last drain.
+  sim::Task<Status> FlushAndDrain(Keyspace* ks);
+
+  // The commit point shared by compaction and the delta fold. Swaps the
+  // run fields (Keyspace::RunFields) of `next` into the keyspace, marks
+  // it COMPACTED and persists the table. The snapshot is written while
+  // every old cluster is still allocated, so whichever snapshot recovery
+  // loads references only live clusters. On a persist failure the swap
+  // is undone and the state restored; on success *next holds the
+  // replaced fields (the consumed logs among them) and `scratch` is
+  // cleared — the durable snapshot owns the outputs now. The
+  // "<job>.before_commit" crash point fires first.
+  sim::Task<Status> CommitRun(Keyspace* ks, Keyspace* next,
+                              std::vector<ClusterId>* scratch);
+
+  // Phase 1 worker: streams one KLOG zone in bounded chunks and spills
+  // sorted runs through *out. Independent per zone, safe to fan out.
+  sim::Task<Status> GenerateZoneRuns(std::uint32_t zone, KlogSorter* out);
 
   // Phase 2 consumer stage: pops gathered value batches off a bounded
   // channel and builds PIDX blocks plus fused secondary-key tuples while
@@ -326,28 +371,18 @@ class Device {
   sim::Task<Status> IndexBuildStage(PidxPipeline* pipe);
 
   // --- secondary index (compactor.cc) ---
-  // External sort state for <skey, pkey, value pointer> tuples.
-  struct SidxSortState {
-    std::vector<ClusterId> temp_clusters;
-    std::vector<SpilledRun> runs;
-    std::vector<SidxTuple> current;
-    std::uint64_t current_bytes = 0;
-    std::uint64_t run_budget = 0;
-  };
-  sim::Task<Status> SidxAdd(SidxSortState* state, SidxTuple tuple);
-  sim::Task<Status> SidxSpill(SidxSortState* state);
-  // Merges the spilled runs into SIDX blocks + sketch, building in place
+  // Merges the sorter's runs into SIDX blocks + sketch, building in place
   // in *out so the caller can release partially written clusters on
-  // failure. Releases the state's TEMP clusters on success.
-  sim::Task<Status> SidxMergeToBlocks(SidxSortState* state,
+  // failure. Releases the sorter's TEMP clusters on success.
+  sim::Task<Status> SidxMergeToBlocks(SidxSorter* sorter,
                                       const nvme::SecondaryIndexSpec& spec,
                                       SecondaryIndex* out);
 
   sim::Task<Status> BuildSecondaryIndex(Keyspace* ks,
                                         const nvme::SecondaryIndexSpec& spec);
   sim::Task<Status> BuildSecondaryIndexInner(
-      Keyspace* ks, const nvme::SecondaryIndexSpec& spec,
-      SidxSortState* state, SecondaryIndex* out);
+      Keyspace* ks, const nvme::SecondaryIndexSpec& spec, SidxSorter* sorter,
+      SecondaryIndex* out);
 
   // --- incremental re-compaction (recompact.cc) ---
   // Folds a COMPACTED keyspace's delta into the existing sorted run:
@@ -355,9 +390,7 @@ class Device {
   // blocks stay in place, their old clusters retained), appends the delta
   // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
   // filter in place, and commits by persisting the merged table —
-  // DESIGN.md §12. Failure-handling shell mirroring CompactKeyspace.
-  sim::Task<Status> RecompactKeyspace(Keyspace* ks,
-                                      std::uint64_t trigger_cmd_id = 0);
+  // DESIGN.md §12. Runs inside the CompactKeyspace shell.
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
   // Loads a delta entry's value bytes (inline if the device never lost
@@ -447,6 +480,12 @@ class Device {
   sim::Task<void> ReleaseClustersBestEffort(std::vector<ClusterId> ids);
 
   // --- recovery helpers (recovery.cc) ---
+  // Streams the keyspace's KLOG chain through `apply`, truncating torn
+  // tails (`zone_label` names the zones in the warning), then restores
+  // next_seq and the klog/vlog byte counters.
+  sim::Task<Status> ReplayLog(
+      Keyspace* ks, std::string_view zone_label,
+      const std::function<void(const KlogEntry&)>& apply);
   // Streams a WRITABLE keyspace's KLOG chain to rebuild num_kvs, min_key,
   // max_key, klog_bytes and vlog_bytes after a restart.
   sim::Task<Status> ReplayKlogChains(Keyspace* ks);

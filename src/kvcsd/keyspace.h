@@ -14,11 +14,14 @@
 // index blocks the delta touches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/status.h"
 #include "kvcsd/zone_manager.h"
 #include "nvme/command.h"
 
@@ -44,6 +47,32 @@ struct SketchEntry {
   std::uint64_t block_addr = 0;
   std::uint32_t block_len = 0;
 };
+
+// Index of the sketch block that could contain `key`: the last block whose
+// pivot (first key) is <= key. Returns sketch.size() if key precedes all.
+// Only valid when pivots are unique (primary keys); range queries over
+// secondary keys must use SketchRangeStart instead.
+inline std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
+                                    const std::string& key) {
+  auto it = std::upper_bound(
+      sketch.begin(), sketch.end(), key,
+      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
+  if (it == sketch.begin()) return sketch.size();  // key < first pivot
+  return static_cast<std::size_t>(it - sketch.begin()) - 1;
+}
+
+// First block that can contain entries >= lo, correct even when several
+// consecutive blocks share the same pivot (tied secondary keys): position
+// at the FIRST block whose pivot >= lo and step back one block, since the
+// preceding block's tail may still hold keys >= lo.
+inline std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
+                                    const std::string& lo) {
+  auto it = std::lower_bound(
+      sketch.begin(), sketch.end(), lo,
+      [](const SketchEntry& e, const std::string& k) { return e.pivot < k; });
+  if (it != sketch.begin()) --it;
+  return static_cast<std::size_t>(it - sketch.begin());
+}
 
 struct SecondaryIndex {
   nvme::SecondaryIndexSpec spec;
@@ -130,6 +159,19 @@ struct Keyspace {
   // the metadata snapshot before the drop is acknowledged, so recovery
   // completes a deferred drop a crash interrupted.
   bool pending_delete = false;
+
+  // Outcome of the last compaction or delta fold, returned by
+  // kCompactWait. Not persisted: it reads OK after a power cycle.
+  Status last_compaction;
+
+  // The fields a compaction or delta fold replaces in one commit
+  // (Device::CommitRun swaps them as a unit).
+  auto RunFields() {
+    return std::tie(klog_clusters, vlog_clusters, klog_bytes, vlog_bytes,
+                    pidx_clusters, sorted_value_clusters, pidx_sketch,
+                    pidx_bloom, secondary_indexes, num_kvs, run_entries,
+                    delta_index, delta_live, delta_index_bytes);
+  }
 
   // Commands currently executing against this keyspace. A handler pins
   // the keyspace for the span of its coroutine so a concurrent drop

@@ -17,6 +17,7 @@
 // reproducible across `soc_cores` settings.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -115,6 +116,8 @@ struct KlogMergeTraits {
     if (a.key != b.key) return a.key < b.key;
     return a.seq < b.seq;
   }
+  // DRAM bytes one entry is charged by the sort budget and merge compute.
+  static std::uint64_t SortBytes(const Entry& e) { return e.key.size() + 12; }
 };
 
 // Merge traits for SIDX-format runs (<skey, pkey> external sort).
@@ -132,6 +135,9 @@ struct SidxMergeTraits {
   static bool Less(const Entry& a, const Entry& b) {
     if (a.skey != b.skey) return a.skey < b.skey;
     return a.pkey < b.pkey;
+  }
+  static std::uint64_t SortBytes(const Entry& e) {
+    return e.skey.size() + e.pkey.size() + 12;
   }
 };
 
@@ -165,18 +171,26 @@ class TempRunReader
     co_return co_await Advance();
   }
 
+  // Parses the next entry into head() when the buffered segment still
+  // holds one, without suspending; false when the buffer is used up and
+  // Advance() must swap in the next segment.
+  bool AdvanceBuffered(Status* status) {
+    if (cursor_.empty()) return false;
+    if (!Traits::Parse(&cursor_, &head_)) {
+      *status = Status::Corruption("bad TEMP run entry");
+    } else {
+      valid_ = true;
+    }
+    return true;
+  }
+
   // Parses the next entry into head(); flips valid() off at end-of-run.
   // Swapping in a prefetched buffer immediately kicks off the read of the
   // segment after it, so the SSD stays busy while the caller merges.
   sim::Task<Status> Advance() {
     for (;;) {
-      if (!cursor_.empty()) {
-        if (!Traits::Parse(&cursor_, &head_)) {
-          co_return Status::Corruption("bad TEMP run entry");
-        }
-        valid_ = true;
-        co_return Status::Ok();
-      }
+      Status parsed;
+      if (AdvanceBuffered(&parsed)) co_return parsed;
       if (!prefetch_active_) {
         valid_ = false;
         co_return Status::Ok();
@@ -262,18 +276,56 @@ class RunMerger {
   bool Empty() const { return live_ == 0; }
   std::size_t fan_in() const { return readers_.size(); }
 
-  // Moves the smallest live entry into *out and advances its run.
-  sim::Task<Status> Pop(Entry* out) {
+  // Result of Pop(): ready at once, or a task awaiting the next segment.
+  class [[nodiscard]] PopAwaiter {
+   public:
+    explicit PopAwaiter(Status done) : done_(std::move(done)) {}
+    explicit PopAwaiter(sim::Task<Status> pending)
+        : pending_(std::move(pending)) {}
+    bool await_ready() const noexcept { return !pending_.valid(); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      return std::move(pending_).operator co_await().await_suspend(h);
+    }
+    Status await_resume() {
+      if (!pending_.valid()) return std::move(done_);
+      return std::move(pending_).operator co_await().await_resume();
+    }
+
+   private:
+    Status done_;
+    sim::Task<Status> pending_;
+  };
+
+  // Moves the smallest live entry into *out and advances its run. While
+  // the winner's buffered segment still holds entries, the pop completes
+  // without suspending, so a loop of pops runs in one stack frame. Only a
+  // segment swap awaits: every awaited pop that completes synchronously
+  // nests a resume on the stack unless the compiler turns symmetric
+  // transfer into a tail call, which sanitizer and -O0 builds do not.
+  PopAwaiter Pop(Entry* out) {
     const std::size_t w = tree_.winner();
     *out = std::move(readers_[w]->mutable_head());
-    KVCSD_CO_RETURN_IF_ERROR(co_await readers_[w]->Advance());
-    if (!readers_[w]->valid()) --live_;
-    tree_.Replay(w,
-                 [this](std::size_t a, std::size_t b) { return LeafLess(a, b); });
-    co_return Status::Ok();
+    Status parsed;
+    if (!readers_[w]->AdvanceBuffered(&parsed)) {
+      return PopAwaiter(AdvanceSegment(w));
+    }
+    if (parsed.ok()) Replay(w);
+    return PopAwaiter(std::move(parsed));
   }
 
  private:
+  sim::Task<Status> AdvanceSegment(std::size_t w) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await readers_[w]->Advance());
+    Replay(w);
+    co_return Status::Ok();
+  }
+
+  void Replay(std::size_t w) {
+    if (!readers_[w]->valid()) --live_;
+    tree_.Replay(w,
+                 [this](std::size_t a, std::size_t b) { return LeafLess(a, b); });
+  }
+
   bool LeafLess(std::size_t a, std::size_t b) const {
     const bool va = readers_[a]->valid();
     const bool vb = readers_[b]->valid();

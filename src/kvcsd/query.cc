@@ -57,32 +57,6 @@ class ReaderGuard {
   sim::Event* idle_;
 };
 
-// Index of the sketch block that could contain `key`: the last block whose
-// pivot (first key) is <= key. Returns sketch.size() if key precedes all.
-// Only valid when pivots are unique (primary keys); range queries over
-// secondary keys must use SketchRangeStart instead.
-std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
-                             const std::string& key) {
-  auto it = std::upper_bound(
-      sketch.begin(), sketch.end(), key,
-      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
-  if (it == sketch.begin()) return sketch.size();  // key < first pivot
-  return static_cast<std::size_t>(it - sketch.begin()) - 1;
-}
-
-// First block that can contain entries >= lo, correct even when several
-// consecutive blocks share the same pivot (tied secondary keys): position
-// at the FIRST block whose pivot >= lo and step back one block, since the
-// preceding block's tail may still hold keys >= lo.
-std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
-                             const std::string& lo) {
-  auto it = std::lower_bound(
-      sketch.begin(), sketch.end(), lo,
-      [](const SketchEntry& e, const std::string& k) { return e.pivot < k; });
-  if (it != sketch.begin()) --it;
-  return static_cast<std::size_t>(it - sketch.begin());
-}
-
 }  // namespace
 
 sim::Task<Result<std::string>> Device::ReadIndexBlock(
@@ -507,12 +481,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     if (entry.tombstone) continue;
     auto value = co_await LoadDeltaValue(entry, act);
     if (!value.ok()) co_return value.status();
-    if (sidx.spec.value_offset + sidx.spec.value_length > value->size()) {
-      co_return Status::InvalidArgument("secondary key range beyond value");
-    }
-    auto skey = nvme::EncodeSecondaryKeyBytes(
-        Slice(value->data() + sidx.spec.value_offset, sidx.spec.value_length),
-        sidx.spec);
+    auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx.spec);
     if (!skey.ok()) co_return skey.status();
     if (*skey < lo || hi < *skey) continue;
     fresh.push_back(FreshTuple{std::move(*skey), pkey, std::move(*value)});

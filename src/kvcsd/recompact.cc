@@ -40,41 +40,14 @@
 
 #include "common/bloom.h"
 #include "kvcsd/device.h"
+#include "kvcsd/merge.h"
+#include "kvcsd/run_writer.h"
 #include "kvcsd/wire.h"
 #include "nvme/skey.h"
-#include "sim/fault.h"
-#include "sim/tracer.h"
 
 namespace kvcsd::device {
 
 namespace {
-
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Last block whose pivot is <= key (PIDX: pivots unique). Returns
-// sketch.size() when the key precedes every pivot.
-std::size_t LowerBlock(const std::vector<SketchEntry>& sketch,
-                       const std::string& key) {
-  auto it = std::upper_bound(
-      sketch.begin(), sketch.end(), key,
-      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
-  if (it == sketch.begin()) return sketch.size();
-  return static_cast<std::size_t>(it - sketch.begin()) - 1;
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value
-// (same extraction the compactor's fused build applies).
-Result<std::string> ExtractSkey(const Slice& value,
-                                const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
 
 // One delta mutation prepared for the fold, in key order.
 struct FoldItem {
@@ -82,12 +55,6 @@ struct FoldItem {
   bool tombstone = false;
   std::string value;           // loaded bytes (empty for a tombstone)
   std::uint64_t new_addr = 0;  // where the value was re-appended
-};
-
-struct PidxRec {
-  std::string key;
-  std::uint64_t vaddr = 0;
-  std::uint32_t vlen = 0;
 };
 
 }  // namespace
@@ -103,61 +70,12 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
   co_return std::move((*values)[0]);
 }
 
-// Failure-handling shell mirroring CompactKeyspace: scratch clusters are
-// released on any failure and the keyspace rolls back to COMPACTED with
-// its delta untouched, so the mutations stay pending rather than lost.
-sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
-                                            std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "recompact");
-  span.Arg("keyspace", ks->name);
-  span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
-  if (trigger_cmd_id != 0) {
-    span.Arg("trigger_cmd_id", trigger_cmd_id);
-    if (sim_->tracer().enabled()) {
-      sim_->tracer().FlowEnd(sim_->tracer().Track(trk_compaction_), "compact",
-                             trigger_cmd_id, sim_->Now());
-    }
-  }
-  ++compactions_running_;
-  std::vector<ClusterId> scratch;
-  Status result = co_await RunRecompaction(ks, &scratch);
-  --compactions_running_;
-  if (!result.ok()) {
-    co_await ReleaseClustersBestEffort(std::move(scratch));
-    if (ks->state == KeyspaceState::kRecompacting) {
-      ks->state = KeyspaceState::kCompacted;
-    }
-    if (faults_ == nullptr || !faults_->crashed()) {
-      // Durable rollback, so a later crash cannot resurrect RECOMPACTING.
-      // Best-effort: recovery also rolls the on-flash state back.
-      (void)co_await keyspace_manager_.Persist();
-    }
-  }
-  CompactionDone(ks->id)->Set();
-  co_await MaybeFinishPendingDelete(ks);
-  co_return result;
-}
-
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
-  // Flush the buffered tail of the delta and drain in-flight flush I/O:
-  // the fold must observe the complete delta log (and the durable log
+  // The fold must observe the complete delta log (and the durable log
   // extent must match what the fold consumes, for recovery's sake).
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await FlushAndDrain(ks));
 
   // Make RECOMPACTING and the final delta-log extents durable before any
   // output is written: recovery must know to roll this keyspace back to
@@ -166,6 +84,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   if (CrashPoint("recompact.before_fold")) {
     co_return Status::IoError("simulated power loss before delta fold");
   }
+  // Every cluster the fold writes joins `scratch` as it is allocated.
+  const RunJob job{this, sim::Activity::kRecompact, scratch};
 
   // ---- Snapshot the delta (mutations are rejected kBusy from here) ----
   std::vector<FoldItem> items;
@@ -201,43 +121,24 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // ---- Re-append live delta values in key order to fresh clusters ----
   std::vector<ClusterId> new_value_clusters;
   {
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::vector<std::size_t> chunk_items;
-    auto flush_values = [&]() -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(&new_value_clusters,
-                                         ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kRecompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t idx : chunk_items) {
-        items[idx].new_addr = *addr + offset;
-        offset += items[idx].value.size();
-      }
-      chunk.clear();
-      chunk_items.clear();
-      co_return Status::Ok();
-    };
+    ChunkWriter out(job, &new_value_clusters, ZoneType::kSortedValues,
+                    /*record_addrs=*/true);
     std::uint64_t value_bytes = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (items[i].tombstone) continue;
-      if (chunk.size() + items[i].value.size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
+    for (const FoldItem& item : items) {
+      if (item.tombstone) continue;
+      if (out.AddValue(item.value)) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
       }
-      chunk += items[i].value;
-      chunk_items.push_back(i);
-      value_bytes += items[i].value.size();
+      value_bytes += item.value.size();
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
+    KVCSD_CO_RETURN_IF_ERROR(co_await out.Finish());
+    std::size_t record = 0;
+    for (FoldItem& item : items) {
+      if (!item.tombstone) item.new_addr = out.record_addrs()[record++];
+    }
     co_await cpu_.ComputeBytes(value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
-  scratch->insert(scratch->end(), new_value_clusters.begin(),
-                  new_value_clusters.end());
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
   const std::vector<SketchEntry>& old_sketch = ks->pidx_sketch;
@@ -251,96 +152,49 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       orphan_items.push_back(&item);
       continue;
     }
-    std::size_t pos = LowerBlock(old_sketch, item.key);
+    std::size_t pos = SketchLowerBlock(old_sketch, item.key);
     if (pos >= old_sketch.size()) pos = 0;
     per_block[pos].push_back(&item);
   }
 
-  std::vector<ClusterId> new_pidx_clusters;
-  std::vector<SketchEntry> new_sketch;
+  // The folded run, built in place; only its run fields are committed.
+  Keyspace next;
+  std::vector<SketchEntry>& new_sketch = next.pidx_sketch;
   new_sketch.reserve(old_sketch.size());
   std::int64_t run_entries_delta = 0;
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
 
-  // Packs records into 4 KB blocks and appends them to `chain`, pushing
-  // one sketch entry per block onto `sketch_out`.
-  auto pack_blocks = [&](const std::vector<PidxRec>& recs,
-                         std::vector<ClusterId>* chain,
-                         std::vector<SketchEntry>* sketch_out)
+  // Two-pointer LWW merge of one dirty block's entries with its delta
+  // keys, rewritten into fresh blocks of their own.
+  IndexBlockWriter pidx(job, &next.pidx_clusters, ZoneType::kPidx,
+                        &new_sketch);
+  auto rebuild = [&](const std::vector<wire::PidxEntry>& old_entries,
+                     const std::vector<const FoldItem*>& delta)
       -> sim::Task<Status> {
-    std::string block;
-    wire::BeginIndexBlock(&block);
-    std::uint16_t count = 0;
-    std::string pivot;
-    std::vector<std::pair<std::string, std::string>> done;
-    auto close_block = [&]() {
-      if (count == 0) return;
-      wire::FinishIndexBlock(&block, count, config_.index_block_size);
-      done.emplace_back(std::move(pivot), std::move(block));
-      wire::BeginIndexBlock(&block);
-      count = 0;
-      pivot.clear();
-    };
-    auto flush_done = [&]() -> sim::Task<Status> {
-      if (done.empty()) co_return Status::Ok();
-      std::string blob;
-      blob.reserve(done.size() * config_.index_block_size);
-      for (const auto& [p, b] : done) blob += b;
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(chain, ZoneType::kPidx,
-                                         AsBytes(blob), sim::Activity::kRecompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += blob.size();
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        sketch_out->push_back(SketchEntry{
-            std::move(done[i].first), *addr + i * config_.index_block_size,
-            config_.index_block_size});
-      }
-      done.clear();
-      co_return Status::Ok();
-    };
-    for (const PidxRec& rec : recs) {
-      if (block.size() + wire::PidxEntrySize(rec.key) >
-          config_.index_block_size) {
-        close_block();
-        if (done.size() * config_.index_block_size >=
-            config_.output_batch_bytes) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
-        }
-      }
-      if (count == 0) pivot = rec.key;
-      wire::AppendPidxEntry(&block, rec.key, rec.vaddr, rec.vlen);
-      ++count;
-    }
-    close_block();
-    co_return co_await flush_done();
-  };
-
-  // Two-pointer LWW merge of one dirty block with its delta keys.
-  auto merge_block = [&](const std::vector<PidxRec>& old_recs,
-                         const std::vector<const FoldItem*>& delta,
-                         std::vector<PidxRec>* out) {
     std::size_t i = 0, j = 0;
-    while (i < old_recs.size() || j < delta.size()) {
-      if (j >= delta.size() ||
-          (i < old_recs.size() && old_recs[i].key < delta[j]->key)) {
-        out->push_back(old_recs[i]);
-        ++i;
-        continue;
-      }
-      const FoldItem* d = delta[j];
-      const bool match = i < old_recs.size() && old_recs[i].key == d->key;
-      if (match) ++i;
-      if (d->tombstone) {
-        if (match) --run_entries_delta;  // removed a run key
+    while (i < old_entries.size() || j < delta.size()) {
+      bool full = false;
+      if (j >= delta.size() || (i < old_entries.size() &&
+                                old_entries[i].key < Slice(delta[j]->key))) {
+        const wire::PidxEntry& e = old_entries[i++];
+        full = pidx.AddPidx(e.key, e.vaddr, e.vlen);
       } else {
-        out->push_back(PidxRec{d->key, d->new_addr,
-                               static_cast<std::uint32_t>(d->value.size())});
+        const FoldItem* d = delta[j++];
+        const bool match =
+            i < old_entries.size() && old_entries[i].key == Slice(d->key);
+        if (match) ++i;
+        if (d->tombstone) {
+          if (match) --run_entries_delta;  // removed a run key
+          continue;
+        }
         if (!match) ++run_entries_delta;  // inserted a new key
+        full = pidx.AddPidx(d->key, d->new_addr,
+                            static_cast<std::uint32_t>(d->value.size()));
       }
-      ++j;
+      if (full) KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
     }
+    co_return co_await pidx.Finish();
   };
 
   std::uint64_t fold_bytes = 0;
@@ -354,78 +208,46 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     auto block = co_await ReadIndexBlock(ks->id, old_sketch[pos], sim::Activity::kRecompact);
     if (!block.ok()) co_return block.status();
     compaction_stats_.bytes_read += old_sketch[pos].block_len;
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block in fold");
+    std::vector<wire::PidxEntry> old_entries;
+    if (!wire::DecodeIndexBlock(*block, &old_entries)) {
+      co_return Status::Corruption("bad PIDX block in fold");
     }
-    std::vector<PidxRec> old_recs;
-    old_recs.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX block in fold");
-      }
-      old_recs.push_back(
-          PidxRec{entry.key.ToString(), entry.vaddr, entry.vlen});
-      fold_bytes += entry.key.size() + 12;
+    for (const wire::PidxEntry& e : old_entries) {
+      fold_bytes += e.key.size() + 12;
     }
-    std::vector<PidxRec> merged;
-    merged.reserve(old_recs.size() + per_block[pos].size());
-    merge_block(old_recs, per_block[pos], &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
+    KVCSD_CO_RETURN_IF_ERROR(co_await rebuild(old_entries, per_block[pos]));
   }
   if (!orphan_items.empty()) {
     // Empty run: the delta becomes the run.
-    std::vector<PidxRec> merged;
-    merge_block({}, orphan_items, &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
+    KVCSD_CO_RETURN_IF_ERROR(co_await rebuild({}, orphan_items));
     ++pidx_rebuilt;
   }
   if (fold_bytes > 0) {
     co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec, sim::Activity::kRecompact);
   }
-  scratch->insert(scratch->end(), new_pidx_clusters.begin(),
-                  new_pidx_clusters.end());
 
   // ---- SIDX fold: stream all blocks, rewrite only dirty regions ----
   // Every delta key's old tuple (if any) is stale: a tombstone removes
   // it, an overwrite re-points it (and may change its secondary key).
-  std::set<std::string> delta_keys;
-  for (const FoldItem& item : items) delta_keys.insert(item.key);
-
-  struct SidxFold {
-    std::vector<ClusterId> new_clusters;
-    std::vector<SketchEntry> new_sketch;
-    std::uint64_t new_entries = 0;
-    std::uint64_t retained = 0;
-    std::uint64_t rebuilt = 0;
-  };
-  std::map<std::string, SidxFold> sidx_folds;
-  std::uint64_t sidx_retained_total = 0;
-  std::uint64_t sidx_rebuilt_total = 0;
+  std::uint64_t sidx_retained = 0;
+  std::uint64_t sidx_rebuilt = 0;
 
   for (auto& [name, sidx] : ks->secondary_indexes) {
-    SidxFold& fold = sidx_folds[name];
+    SecondaryIndex& folded = next.secondary_indexes[name];
+    folded.spec = sidx.spec;
     const std::vector<SketchEntry>& sketch = sidx.sketch;
 
     // New tuples from the live delta values, sorted by (skey, pkey).
     std::vector<SidxTuple> fresh;
     for (const FoldItem& item : items) {
       if (item.tombstone) continue;
-      auto skey = ExtractSkey(Slice(item.value), sidx.spec);
+      auto skey = nvme::ExtractSecondaryKey(Slice(item.value), sidx.spec);
       if (!skey.ok()) co_return skey.status();
       fresh.push_back(SidxTuple{
           std::move(*skey), item.key, item.new_addr,
           static_cast<std::uint32_t>(item.value.size())});
     }
-    std::sort(fresh.begin(), fresh.end(),
-              [](const SidxTuple& a, const SidxTuple& b) {
-                if (a.skey != b.skey) return a.skey < b.skey;
-                return a.pkey < b.pkey;
-              });
+    std::sort(fresh.begin(), fresh.end(), SidxMergeTraits::Less);
 
     // Pre-mark the insertion span of each fresh tuple dirty. The span
     // [a, b] brackets every block that can hold tuples tied with the
@@ -436,24 +258,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::vector<std::size_t> fresh_start(fresh.size(), 0);
     for (std::size_t f = 0; f < fresh.size(); ++f) {
       if (sketch.empty()) break;
-      const std::string& skey = fresh[f].skey;
-      auto lo = std::lower_bound(
-          sketch.begin(), sketch.end(), skey,
-          [](const SketchEntry& e, const std::string& k) {
-            return e.pivot < k;
-          });
-      std::size_t a = lo == sketch.begin()
-                          ? 0
-                          : static_cast<std::size_t>(lo - sketch.begin()) - 1;
-      auto hi = std::upper_bound(
-          sketch.begin(), sketch.end(), skey,
-          [](const std::string& k, const SketchEntry& e) {
-            return k < e.pivot;
-          });
-      std::size_t b = hi == sketch.begin()
-                          ? 0
-                          : static_cast<std::size_t>(hi - sketch.begin()) - 1;
-      if (b < a) b = a;
+      const std::size_t a = SketchRangeStart(sketch, fresh[f].skey);
+      std::size_t b = SketchLowerBlock(sketch, fresh[f].skey);
+      if (b >= sketch.size() || b < a) b = a;
       fresh_start[f] = a;
       for (std::size_t p = a; p <= b; ++p) dirty[p] = true;
     }
@@ -463,7 +270,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::size_t region_start = 0;
     std::size_t fresh_cursor = 0;
     std::uint64_t removed = 0;
-    std::uint64_t kept = 0;
+    IndexBlockWriter blocks(job, &folded.sidx_clusters, ZoneType::kSidx,
+                            &folded.sketch);
 
     auto emit_region = [&](std::size_t region_end) -> sim::Task<Status> {
       // Merge the region's survivors with the fresh tuples whose
@@ -482,80 +290,30 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                  std::make_move_iterator(region.end()),
                  std::make_move_iterator(incoming.begin()),
                  std::make_move_iterator(incoming.end()),
-                 std::back_inserter(merged),
-                 [](const SidxTuple& a, const SidxTuple& b) {
-                   if (a.skey != b.skey) return a.skey < b.skey;
-                   return a.pkey < b.pkey;
-                 });
+                 std::back_inserter(merged), SidxMergeTraits::Less);
       region.clear();
       // Pack into 4 KB blocks appended to the fold's fresh clusters.
-      std::string block;
-      wire::BeginIndexBlock(&block);
-      std::uint16_t count = 0;
-      std::string pivot;
-      std::vector<std::pair<std::string, std::string>> done;
-      auto close_block = [&]() {
-        if (count == 0) return;
-        wire::FinishIndexBlock(&block, count, config_.index_block_size);
-        done.emplace_back(std::move(pivot), std::move(block));
-        wire::BeginIndexBlock(&block);
-        count = 0;
-        pivot.clear();
-      };
-      auto flush_done = [&]() -> sim::Task<Status> {
-        if (done.empty()) co_return Status::Ok();
-        std::string blob;
-        blob.reserve(done.size() * config_.index_block_size);
-        for (const auto& [p, b] : done) blob += b;
-        co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-        auto addr = co_await AppendToChain(&fold.new_clusters,
-                                           ZoneType::kSidx, AsBytes(blob), sim::Activity::kRecompact);
-        if (!addr.ok()) co_return addr.status();
-        compaction_stats_.bytes_written += blob.size();
-        for (std::size_t i = 0; i < done.size(); ++i) {
-          fold.new_sketch.push_back(SketchEntry{
-              std::move(done[i].first),
-              *addr + i * config_.index_block_size,
-              config_.index_block_size});
+      for (const SidxTuple& t : merged) {
+        if (blocks.AddSidx(t)) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await blocks.Flush());
         }
-        done.clear();
-        co_return Status::Ok();
-      };
-      for (SidxTuple& t : merged) {
-        if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-            config_.index_block_size) {
-          close_block();
-          if (done.size() * config_.index_block_size >=
-              config_.output_batch_bytes) {
-            KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
-          }
-        }
-        if (count == 0) pivot = t.skey;
-        wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-        ++count;
       }
-      close_block();
-      co_return co_await flush_done();
+      co_return co_await blocks.Finish();
     };
 
     for (std::size_t pos = 0; pos < sketch.size(); ++pos) {
       auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
       if (!block.ok()) co_return block.status();
       compaction_stats_.bytes_read += sketch[pos].block_len;
-      std::uint16_t count = 0;
-      Slice in;
-      if (!wire::OpenIndexBlock(*block, &count, &in)) {
-        co_return Status::Corruption("undersized SIDX block in fold");
+      std::vector<wire::SidxEntry> entries;
+      if (!wire::DecodeIndexBlock(*block, &entries)) {
+        co_return Status::Corruption("bad SIDX block in fold");
       }
       std::vector<SidxTuple> survivors;
-      survivors.reserve(count);
+      survivors.reserve(entries.size());
       bool lost_tuple = false;
-      for (std::uint16_t i = 0; i < count; ++i) {
-        wire::SidxEntry entry;
-        if (!wire::ParseSidxEntry(&in, &entry)) {
-          co_return Status::Corruption("bad SIDX block in fold");
-        }
-        if (delta_keys.contains(entry.pkey.ToString())) {
+      for (const wire::SidxEntry& entry : entries) {
+        if (ks->delta_index.contains(entry.pkey.ToString())) {
           lost_tuple = true;
           ++removed;
           continue;
@@ -570,25 +328,22 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
           region_open = true;
           region_start = pos;
         }
-        kept += survivors.size();
         region.insert(region.end(),
                       std::make_move_iterator(survivors.begin()),
                       std::make_move_iterator(survivors.end()));
-        ++fold.rebuilt;
+        ++sidx_rebuilt;
       } else {
         if (region_open) {
           KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(pos - 1));
           region_open = false;
         }
-        kept += survivors.size();
-        fold.new_sketch.push_back(sketch[pos]);  // retained by reference
-        ++fold.retained;
+        folded.sketch.push_back(sketch[pos]);  // retained by reference
+        ++sidx_retained;
       }
     }
     if (region_open) {
       KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(
           sketch.empty() ? 0 : sketch.size() - 1));
-      region_open = false;
     }
     if (fresh_cursor < fresh.size()) {
       // Remaining fresh tuples (empty index, or a tail span): one final
@@ -596,13 +351,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       region_start = sketch.size();
       KVCSD_CO_RETURN_IF_ERROR(
           co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1));
-      ++fold.rebuilt;
+      ++sidx_rebuilt;
     }
-    fold.new_entries = sidx.entries - removed + fresh.size();
-    scratch->insert(scratch->end(), fold.new_clusters.begin(),
-                    fold.new_clusters.end());
-    sidx_retained_total += fold.retained;
-    sidx_rebuilt_total += fold.rebuilt;
+    folded.entries = sidx.entries - removed + fresh.size();
   }
 
   // ---- Bloom: fold the new keys into the serialized filter in place ----
@@ -631,21 +382,19 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     co_await idle->Wait();
   }
 
-  if (CrashPoint("recompact.before_commit")) {
-    co_return Status::IoError("simulated power loss before recompact commit");
-  }
-
-  // Partition each old index chain into clusters a retained block still
-  // references (they stay in the keyspace) and dead ones (released past
-  // the commit point). A cluster is referenced iff one of its zones holds
-  // a retained block; new-cluster zones can never alias old ones.
+  // Each old index chain splits into clusters a retained block still
+  // references, which lead the new chain as they led the old one, and
+  // dead ones, released past the commit point. A cluster is referenced
+  // iff one of its zones holds a retained block; new-cluster zones can
+  // never alias old ones.
   const std::uint64_t zone_size = ssd_.zone_size();
-  auto partition = [&](const std::vector<ClusterId>& old_chain,
-                       const std::vector<SketchEntry>& sketch,
-                       std::vector<ClusterId>* live,
-                       std::vector<ClusterId>* dead) {
+  std::vector<ClusterId> dead;
+  auto keep_referenced = [&](const std::vector<ClusterId>& old_chain,
+                             const std::vector<SketchEntry>& sketch,
+                             std::vector<ClusterId>* chain) {
     std::set<std::uint64_t> zones;
     for (const SketchEntry& e : sketch) zones.insert(e.block_addr / zone_size);
+    std::vector<ClusterId> live;
     for (ClusterId id : old_chain) {
       bool referenced = false;
       for (std::uint32_t z : zone_manager_.cluster_zones(id)) {
@@ -654,96 +403,26 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
           break;
         }
       }
-      (referenced ? live : dead)->push_back(id);
+      (referenced ? live : dead).push_back(id);
     }
+    chain->insert(chain->begin(), live.begin(), live.end());
   };
-
-  std::vector<ClusterId> pidx_live, pidx_dead;
-  partition(ks->pidx_clusters, new_sketch, &pidx_live, &pidx_dead);
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<ClusterId>>> sidx_parts;
+  keep_referenced(ks->pidx_clusters, next.pidx_sketch, &next.pidx_clusters);
   for (const auto& [name, sidx] : ks->secondary_indexes) {
-    auto& [live, dead] = sidx_parts[name];
-    partition(sidx.sidx_clusters, sidx_folds[name].new_sketch, &live, &dead);
+    SecondaryIndex& folded = next.secondary_indexes[name];
+    keep_referenced(sidx.sidx_clusters, folded.sketch, &folded.sidx_clusters);
   }
-
-  // Save the old state for a symmetric un-install on persist failure.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
-  std::vector<ClusterId> old_pidx = std::move(ks->pidx_clusters);
-  std::vector<SketchEntry> old_pidx_sketch = std::move(ks->pidx_sketch);
-  std::string old_bloom = std::move(ks->pidx_bloom);
-  const std::uint64_t old_num_kvs = ks->num_kvs;
-  const std::uint64_t old_run_entries = ks->run_entries;
-  std::map<std::string, DeltaEntry> old_delta = std::move(ks->delta_index);
-  const std::uint64_t old_delta_live = ks->delta_live;
-  const std::uint64_t old_delta_index_bytes = ks->delta_index_bytes;
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<SketchEntry>>> old_sidx;
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    old_sidx[name] = {std::move(sidx.sidx_clusters), std::move(sidx.sketch)};
-  }
-  const std::uint64_t old_value_count = ks->sorted_value_clusters.size();
-
-  // Install the folded state. The old sorted-value clusters all stay:
+  // The delta logs are consumed. The old sorted-value clusters all stay:
   // retained and rebuilt blocks alike still point at unchanged run values.
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
-  ks->pidx_clusters = pidx_live;
-  ks->pidx_clusters.insert(ks->pidx_clusters.end(), new_pidx_clusters.begin(),
-                           new_pidx_clusters.end());
-  ks->sorted_value_clusters.insert(ks->sorted_value_clusters.end(),
-                                   new_value_clusters.begin(),
-                                   new_value_clusters.end());
-  ks->pidx_sketch = std::move(new_sketch);
-  ks->pidx_bloom = std::move(new_bloom);
-  ks->run_entries = static_cast<std::uint64_t>(
+  next.sorted_value_clusters = ks->sorted_value_clusters;
+  next.sorted_value_clusters.insert(next.sorted_value_clusters.end(),
+                                    new_value_clusters.begin(),
+                                    new_value_clusters.end());
+  next.pidx_bloom = std::move(new_bloom);
+  next.run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
-  ks->num_kvs = ks->run_entries;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->delta_index_bytes = 0;
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    SidxFold& fold = sidx_folds[name];
-    sidx.sidx_clusters = sidx_parts[name].first;
-    sidx.sidx_clusters.insert(sidx.sidx_clusters.end(),
-                              fold.new_clusters.begin(),
-                              fold.new_clusters.end());
-    sidx.sketch = std::move(fold.new_sketch);
-    sidx.entries = fold.new_entries;
-  }
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
-    ks->pidx_clusters = std::move(old_pidx);
-    ks->pidx_sketch = std::move(old_pidx_sketch);
-    ks->pidx_bloom = std::move(old_bloom);
-    ks->num_kvs = old_num_kvs;
-    ks->run_entries = old_run_entries;
-    ks->delta_index = std::move(old_delta);
-    ks->delta_live = old_delta_live;
-    ks->delta_index_bytes = old_delta_index_bytes;
-    ks->sorted_value_clusters.resize(old_value_count);
-    for (auto& [name, sidx] : ks->secondary_indexes) {
-      sidx.sidx_clusters = std::move(old_sidx[name].first);
-      sidx.sketch = std::move(old_sidx[name].second);
-    }
-    ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
-    co_return commit;
-  }
-  ++compactions_done_;
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Retained blocks kept their addresses, but rebuilt and dead blocks
-  // must never be served from DRAM again; drop the keyspace's cache.
-  index_cache_.EraseKeyspace(ks->id);
+  next.num_kvs = next.run_entries;
+  KVCSD_CO_RETURN_IF_ERROR(co_await CommitRun(ks, &next, scratch));
 
   stats().counter("device.recompact.done").Increment();
   stats().counter("device.recompact.delta_keys").Add(items.size());
@@ -751,10 +430,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   stats().counter("device.recompact.pidx_blocks_rebuilt").Add(pidx_rebuilt);
   stats()
       .counter("device.recompact.sidx_blocks_retained")
-      .Add(sidx_retained_total);
+      .Add(sidx_retained);
   stats()
       .counter("device.recompact.sidx_blocks_rebuilt")
-      .Add(sidx_rebuilt_total);
+      .Add(sidx_rebuilt);
   stats().histogram("device.recompact.fold_ns").Record(sim_->Now() -
                                                        fold_start);
 
@@ -762,12 +441,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // old index cluster with no retained block are garbage (a crash here
   // leaks them to recovery's unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
-  co_await ReleaseClustersBestEffort(std::move(pidx_dead));
-  for (auto& [name, parts] : sidx_parts) {
-    co_await ReleaseClustersBestEffort(std::move(parts.second));
-  }
+  co_await ReleaseClustersBestEffort(std::move(next.klog_clusters));
+  co_await ReleaseClustersBestEffort(std::move(next.vlog_clusters));
+  co_await ReleaseClustersBestEffort(std::move(dead));
   co_return Status::Ok();
 }
 

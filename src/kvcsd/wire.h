@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -219,6 +220,27 @@ inline void FinishIndexBlock(std::string* block, std::uint16_t count,
                              std::uint32_t block_size) {
   EncodeFixed16(block->data(), count);
   block->resize(block_size, '\0');
+}
+
+inline bool ParseIndexEntry(Slice* in, PidxEntry* out) {
+  return ParsePidxEntry(in, out);
+}
+inline bool ParseIndexEntry(Slice* in, SidxEntry* out) {
+  return ParseSidxEntry(in, out);
+}
+
+// Decodes every entry of a PIDX (PidxEntry) or SIDX (SidxEntry) block;
+// the entries alias `block`. False when the block is malformed.
+template <typename Entry>
+bool DecodeIndexBlock(const std::string& block, std::vector<Entry>* out) {
+  std::uint16_t count = 0;
+  Slice in;
+  if (!OpenIndexBlock(block, &count, &in)) return false;
+  out->resize(count);
+  for (Entry& entry : *out) {
+    if (!ParseIndexEntry(&in, &entry)) return false;
+  }
+  return true;
 }
 
 // --- pushdown (kKvSelect / kKvAggregate) ---

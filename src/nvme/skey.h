@@ -99,4 +99,16 @@ inline Result<std::string> EncodeSecondaryKeyBytes(
   return Status::InvalidArgument("unknown secondary key type");
 }
 
+// Order-preserving encoding of the secondary key a stored value holds at
+// the spec's byte range: what index construction and the delta merge of
+// a secondary scan extract.
+inline Result<std::string> ExtractSecondaryKey(
+    const Slice& value, const SecondaryIndexSpec& spec) {
+  if (std::uint64_t{spec.value_offset} + spec.value_length > value.size()) {
+    return Status::InvalidArgument("secondary key range beyond value");
+  }
+  return EncodeSecondaryKeyBytes(
+      Slice(value.data() + spec.value_offset, spec.value_length), spec);
+}
+
 }  // namespace kvcsd::nvme

@@ -98,7 +98,7 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
                        std::vector<client::KeyspaceHandle>* out,
                        sim::WaitGroup* done) -> sim::Task<void> {
       auto ks = (co_await b->client().CreateKeyspace(
-                     "g" + std::to_string(thread)))
+                     std::string("g").append(std::to_string(thread))))
                     .value();
       auto writer = ks.NewBulkWriter();
       for (std::uint64_t i = 0; i < 5000; ++i) {

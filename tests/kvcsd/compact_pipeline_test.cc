@@ -161,5 +161,85 @@ TEST(CompactPipelineTest, MoreCoresCompactStrictlyFaster) {
   EXPECT_LT(four.compact_ticks, one.compact_ticks);
 }
 
+// Exact simulated cost of the write path on a fixed input: one fused
+// compaction (PIDX + one SIDX), then one delta fold over a tenth of the
+// keys. The simulation is deterministic, so every figure is pinned
+// exactly; a change that moves one changes the modelled cost of
+// compaction and must say why.
+struct WritePathCost {
+  bool ok = false;
+  Tick end = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t bytes_read = 0;
+  std::size_t pidx_blocks = 0;
+  std::size_t sidx_blocks = 0;
+  std::uint64_t pidx_retained = 0;
+  std::uint64_t pidx_rebuilt = 0;
+};
+
+sim::Task<void> WritePathWorkload(Fixture* f, WritePathCost* out) {
+  auto created = co_await f->db.CreateKeyspace("pinned");
+  KVCSD_CO_ASSERT_OK(created);
+  auto ks = std::move(*created);
+  constexpr std::uint64_t kPinKeys = 3000;
+  auto writer = ks.NewBulkWriter();
+  for (std::uint64_t i = 0; i < kPinKeys; ++i) {
+    const std::uint64_t id = (i * 701) % kPinKeys;
+    KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(id), EnergyValue(id)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  nvme::SecondaryIndexSpec energy;
+  energy.name = "energy";
+  energy.value_offset = 28;
+  energy.value_length = 4;
+  energy.type = nvme::SecondaryKeyType::kF32;
+  std::vector<nvme::SecondaryIndexSpec> specs;
+  specs.push_back(std::move(energy));
+  KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
+  KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+  // The delta touches the first fifth of the key range only, so the fold
+  // both rebuilds and retains PIDX blocks: overwrites with new energies,
+  // deletes, and keys new to the run.
+  for (std::uint64_t id = 0; id < kPinKeys / 5; id += 7) {
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(id), EnergyValue(id + 1)));
+  }
+  for (std::uint64_t id = 3; id < kPinKeys / 5; id += 11) {
+    KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(id)));
+  }
+  for (std::uint64_t id = kPinKeys; id < kPinKeys + 40; ++id) {
+    KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(id), EnergyValue(id)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+  out->end = f->sim.Now();
+  out->bytes_written = f->dev.compaction_stats().bytes_written;
+  out->bytes_read = f->dev.compaction_stats().bytes_read;
+  auto found = f->dev.keyspaces().Find("pinned");
+  KVCSD_CO_ASSERT_OK(found);
+  out->pidx_blocks = (*found)->pidx_sketch.size();
+  out->sidx_blocks = (*found)->secondary_indexes.at("energy").sketch.size();
+  out->pidx_retained =
+      f->sim.stats().counter_value("device.recompact.pidx_blocks_retained");
+  out->pidx_rebuilt =
+      f->sim.stats().counter_value("device.recompact.pidx_blocks_rebuilt");
+  out->ok = true;
+}
+
+TEST(CompactPipelineTest, WritePathSimulatedCostIsPinned) {
+  Fixture f(4);
+  WritePathCost cost;
+  testutil::RunSim(f.sim, WritePathWorkload(&f, &cost));
+  ASSERT_TRUE(cost.ok);
+  EXPECT_EQ(cost.end, 75877279u);
+  EXPECT_EQ(cost.bytes_written, 570465u);
+  EXPECT_EQ(cost.bytes_read, 477614u);
+  EXPECT_EQ(cost.pidx_blocks, 20u);
+  EXPECT_EQ(cost.sidx_blocks, 23u);
+  EXPECT_EQ(cost.pidx_retained, 15u);
+  EXPECT_EQ(cost.pidx_rebuilt, 5u);
+}
+
 }  // namespace
 }  // namespace kvcsd::device

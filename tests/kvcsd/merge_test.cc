@@ -119,14 +119,19 @@ TEST(LoserTreeTest, DegenerateSizes) {
 // ---------------------------------------------------------------------
 
 struct MergeFixture {
+  explicit MergeFixture(std::uint64_t zone_size = KiB(64),
+                        std::uint32_t num_zones = 64)
+      : ssd(&sim, MakeConfig(zone_size, num_zones)) {}
+
   sim::Simulation sim;
-  storage::ZnsSsd ssd{&sim, MakeConfig()};
+  storage::ZnsSsd ssd;
   ZoneManager zm{&ssd, ZoneManagerConfig{}};
 
-  static storage::ZnsConfig MakeConfig() {
+  static storage::ZnsConfig MakeConfig(std::uint64_t zone_size,
+                                       std::uint32_t num_zones) {
     storage::ZnsConfig c;
-    c.zone_size = KiB(64);
-    c.num_zones = 64;
+    c.zone_size = zone_size;
+    c.num_zones = num_zones;
     c.nand.channels = 8;
     return c;
   }
@@ -264,6 +269,40 @@ TEST(RunMergerTest, SingleRunStreamsInOrder) {
       ++popped;
     }
     EXPECT_EQ(popped, 17u);
+  }(&f));
+}
+
+// The entries of one segment pop back to back with no I/O in between.
+// Each such pop must complete in the caller's frame: an awaited pop that
+// finishes without suspending nests one resume per pop on the stack
+// unless the compiler turns symmetric transfer into a tail call, which
+// sanitizer and -O0 builds do not. A run this long in one segment then
+// overflows an 8 MiB stack.
+TEST(RunMergerTest, LongSegmentDrainsWithoutNestingResumes) {
+  MergeFixture f(MiB(8), 8);
+  testutil::RunSim(f.sim, [](MergeFixture* fx) -> sim::Task<void> {
+    constexpr std::uint64_t kIds = 200000;
+    std::vector<KlogEntry> entries(kIds);
+    for (std::uint64_t id = 0; id < kIds; ++id) {
+      entries[id].key = MakeFixedKey(id);
+      entries[id].value_addr = id;
+    }
+    std::vector<SpilledRun> runs(1);
+    KVCSD_CO_ASSERT_OK(co_await SpillKlogRun(fx, entries, kIds, &runs[0]));
+    KVCSD_CO_ASSERT(runs[0].segments.size() == 1u);
+
+    RunMerger<KlogMergeTraits> merger(&fx->sim, &fx->ssd);
+    KVCSD_CO_ASSERT_OK(co_await merger.Init(runs, nullptr));
+    std::uint64_t popped = 0;
+    bool in_order = true;
+    while (!merger.Empty()) {
+      KlogEntry e;
+      KVCSD_CO_ASSERT_OK(co_await merger.Pop(&e));
+      in_order = in_order && e.value_addr == popped;
+      ++popped;
+    }
+    EXPECT_TRUE(in_order);
+    EXPECT_EQ(popped, kIds);
   }(&f));
 }
 

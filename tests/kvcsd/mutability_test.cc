@@ -34,11 +34,14 @@ DeviceConfig SmallDevice() {
 struct CsdFixture {
   sim::Simulation sim;
   nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
+  Device dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
 
-  CsdFixture() { dev.Start(); }
+  explicit CsdFixture(const DeviceConfig& config = SmallDevice())
+      : dev(&sim, config, &qp) {
+    dev.Start();
+  }
 
   // value = 28 pad bytes + f32 energy (little-endian).
   static std::string EnergyValue(float energy) {
@@ -123,7 +126,8 @@ TEST(MutabilityTest, DeleteBeforeCompactionSuppressesKey) {
                              sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("del")).value();
     for (std::uint64_t i = 0; i < 100; ++i) {
-      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(i), std::string("v").append(std::to_string(i))));
     }
     // Blind delete of an absent key is Ok (tombstone over nothing).
     KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(999999)));
@@ -366,7 +370,8 @@ TEST(MutabilityTest, DropDuringRecompactionDefers) {
   testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("dropfold")).value();
     for (std::uint64_t i = 0; i < 2000; ++i) {
-      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(i), std::string("v").append(std::to_string(i))));
     }
     KVCSD_CO_ASSERT_OK(co_await ks.Compact());
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
@@ -681,6 +686,50 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
     KVCSD_CO_ASSERT(folds == 2);
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
   }(&db, &dev, &sim));
+}
+
+// --------------------------------------------------------------------------
+// A failed fold is reported, not acknowledged. Each fold appends the
+// rewritten values to fresh clusters and keeps the old ones, so rounds of
+// overwrite-everything + fold on a small device exhaust the zone pool.
+// From then on folds fail: WaitCompaction must return the failure, the
+// failure counter must count it, and reads must stay correct — the delta
+// still holds every newest value.
+// --------------------------------------------------------------------------
+TEST(MutabilityTest, FailedFoldIsReportedByWaitCompaction) {
+  DeviceConfig config = SmallDevice();
+  config.zns.num_zones = 48;
+  CsdFixture f(config);
+  testutil::RunSim(f.sim, [](CsdFixture* fx) -> sim::Task<void> {
+    constexpr std::uint64_t kKeys = 4000;
+    auto value = [](std::uint64_t id, std::uint64_t round) {
+      std::string v = std::to_string(id) + "@" + std::to_string(round);
+      v.resize(512, 'v');
+      return v;
+    };
+    auto ks = (co_await fx->db.CreateKeyspace("exhaust")).value();
+    Status waited = Status::Ok();
+    std::uint64_t round = 0;
+    for (; round < 24 && waited.ok(); ++round) {
+      for (std::uint64_t id = 0; id < kKeys; ++id) {
+        KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(id), value(id, round)));
+      }
+      KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+      waited = co_await ks.WaitCompaction();
+    }
+    KVCSD_CO_ASSERT(!waited.ok());
+    KVCSD_CO_ASSERT(round > 1);  // the first folds did succeed
+    KVCSD_CO_ASSERT(
+        fx->sim.stats().counter_value("device.recompact.failed") > 0);
+    auto stat = co_await ks.GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+    for (std::uint64_t id = 0; id < kKeys; id += 37) {
+      auto got = co_await ks.Get(MakeFixedKey(id));
+      KVCSD_CO_ASSERT_OK(got);
+      KVCSD_CO_ASSERT(*got == value(id, round - 1));
+    }
+  }(&f));
 }
 
 }  // namespace

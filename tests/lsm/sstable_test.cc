@@ -230,7 +230,7 @@ TEST(SstableTest, MergingIteratorInterleavesTables) {
                              MakeFixedKey(static_cast<std::uint64_t>(i)),
                              static_cast<SequenceNumber>(i + 1),
                              ValueType::kValue),
-                         "v" + std::to_string(i)))
+                         std::string("v").append(std::to_string(i))))
                         .ok());
       }
       EXPECT_TRUE((co_await b->Finish()).ok());

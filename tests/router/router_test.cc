@@ -400,7 +400,8 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
         std::vector<std::pair<std::string, std::string>> pairs;
         for (std::uint64_t i = 0; i < kBatchSize; ++i) {
           const std::uint64_t id = (d * kBatches + b) * kBatchSize + i;
-          pairs.emplace_back(MakeFixedKey(id), "g" + std::to_string(id));
+          pairs.emplace_back(MakeFixedKey(id),
+                             std::string("g").append(std::to_string(id)));
         }
         auto futures = co_await h.PutBatchAsync(std::move(pairs));
         for (auto& future : futures) {
